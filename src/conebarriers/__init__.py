@@ -35,10 +35,8 @@ from .linalg import (
     sym_eigen,
 )
 from .scalars import (
-    DoubleDouble,
     RootResult,
     StopRule,
-    dd_sqrt,
     newton_raphson,
     wright_omega,
 )
@@ -82,8 +80,7 @@ __all__ = [
     "inner", "pack", "unpack",
     "NonPositiveDefiniteError", "SymEigen", "Svd", "cholesky_solve",
     "svd", "sym_eigen",
-    "DoubleDouble", "RootResult", "StopRule", "dd_sqrt", "newton_raphson",
-    "wright_omega",
+    "RootResult", "StopRule", "newton_raphson", "wright_omega",
     "BarrierWorkspace", "gradient", "hessian_apply", "hessian_dense",
     "inverse_hessian_apply", "value",
     "ConjugateResult", "conjugate_gradient", "conjugate_value", "lemma_h",

@@ -16,9 +16,11 @@ root found by a guarded Newton-Raphson iteration:
   boundary.
 * rgeom               — closed form (``y_minus`` is the exact root).
 * linf / lspec        — negative root of ``h(y) = p y
-  + sum_i sqrt(1 + r_i^2 y^2) + 1``; the function and its derivative nearly
-  cancel close to the dual boundary, so they and the update step are
-  evaluated in double-double precision.
+  + sum_i sqrt(1 + r_i^2 y^2) + 1``.  Close to the dual boundary ``p y``
+  nearly cancels the square roots, so each root is split as
+  ``|r_i| |y| + e_i`` and the linear parts are gathered into
+  ``(p - ||r||_1) y`` with ``p - ||r||_1`` rounded once; what is left is a
+  sum of positive terms, accurate in plain binary64.
 
 Matrix families reuse the vector procedures on the spectrum and lift the
 result back through the eigenvector or singular-vector frames.
@@ -44,7 +46,7 @@ from .cones import (
     unpack,
 )
 from .linalg import sym_eigen, svd
-from .scalars import DoubleDouble, RootResult, StopRule, dd_sqrt, newton_raphson, wright_omega
+from .scalars import RootResult, StopRule, newton_raphson, wright_omega
 
 __all__ = [
     "ConjugateResult",
@@ -117,23 +119,32 @@ def _rpower_h(alpha: np.ndarray, s: float, log_phi_r: float):
     return fn
 
 
-def _linf_h(p: float, r: np.ndarray):
-    """h(y) = p y + sum sqrt(1 + r_i^2 y^2) + 1 in double-double arithmetic."""
-    r2 = [float(ri) * float(ri) for ri in r if ri != 0.0]
-    n_zero = r.size - len(r2)
+def _linf_reduction(p: float, r: np.ndarray):
+    """Cancellation-free h(y) = p y + sum sqrt(1 + r_i^2 y^2) + 1, and its start.
 
-    def fn(y):
-        y = DoubleDouble._coerce(y)
-        y2 = y * y
-        h = DoubleDouble(p) * y + (1.0 + n_zero)
-        hp = DoubleDouble(p)
-        for ri2 in r2:
-            root = dd_sqrt(1.0 + ri2 * y2)
-            h = h + root
-            hp = hp + (ri2 * y) / root
-        return h, hp
+    With a = |r|, t = a |y|, s = sqrt(1 + t^2) and e = 1/(s + t), each root
+    is a |y| + e.  For y <= 0 the linear parts sum to delta y, where
+    delta = p - ||r||_1 is correctly rounded, so h = delta y + 1 + sum e and
+    h' = delta + sum a e / s add only positive terms; zero entries give e = 1.
+    Returns the (h, h') callback, valid for every real y, and the Newton start.
+    """
+    a = np.abs(r)
+    delta = math.fsum([p] + (-a).tolist())
+    p_plus = p + float(np.sum(a))
 
-    return fn
+    def fn(y: float):
+        t = a * abs(y)
+        s = np.sqrt(1.0 + t * t)
+        e = 1.0 / (s + t)
+        if y <= 0.0:
+            return delta * y + 1.0 + float(np.sum(e)), delta + float(np.dot(a, e / s))
+        return p_plus * y + 1.0 + float(np.sum(e)), p + float(np.dot(a, t / s))
+
+    # both candidates bound the negative root from above (each comes from a
+    # lower bound on h); the tighter one tracks the root as p approaches
+    # ||r||_1, so Newton stays within a few steps at every offset
+    y0 = min(-1.0 / delta, -(r.size + 1.0) / p)
+    return fn, y0
 
 
 def lemma_h(cone: ConeDescriptor, r: ConePoint):
@@ -153,9 +164,9 @@ def lemma_h(cone: ConeDescriptor, r: ConePoint):
             raise ValueError("rpower reduction needs a nonzero radial block")
         return _rpower_h(cone.alpha, s, 2.0 * float(np.dot(cone.alpha, np.log(r.vec))))
     if fam is ConeFamily.LINF:
-        return _linf_h(float(r.epi), r.vec)
+        return _linf_reduction(float(r.epi), r.vec)[0]
     if fam is ConeFamily.LSPEC:
-        return _linf_h(float(r.epi), svd(r.mat).sigma)
+        return _linf_reduction(float(r.epi), svd(r.mat).sigma)[0]
     raise ValueError(f"{fam.value}: conjugate gradient needs no root finding")
 
 
@@ -220,12 +231,8 @@ def _rpower_tail_start(alpha: np.ndarray, s: float, log_cap: float) -> float | N
 def _linf_solve(p: float, rv: np.ndarray) -> tuple[float, RootResult | None]:
     if not np.any(rv != 0.0):
         return -(rv.size + 1.0) / p, None
-    l1 = float(np.sum(np.abs(rv)))
-    # both candidates bound the negative root from above (each comes from a
-    # lower bound on h); the tighter one tracks the root as p approaches
-    # ||r||_1, so Newton stays within a few steps at every offset
-    y0 = min(-1.0 / (p - l1), -(rv.size + 1.0) / p)
-    res = newton_raphson(_linf_h(p, rv), y0, StopRule())
+    fn, y0 = _linf_reduction(p, rv)
+    res = newton_raphson(fn, y0, StopRule())
     return res.root, res
 
 

@@ -1,10 +1,9 @@
-"""Scalar numerical kernels: Wright omega, a guarded Newton-Raphson driver,
-and double-double (compensated) arithmetic.
+"""Scalar numerical kernels: Wright omega and a guarded Newton-Raphson iteration.
 
-The Newton-Raphson driver is generic over the numeric type of the callback:
-when the callback returns :class:`DoubleDouble` values the iterate and the
-update step are carried in double-double precision, which is what the
-infinity-norm conjugate procedure uses near the dual boundary.
+Both work in plain binary64.  The root functions that the conjugate oracles
+pass to :func:`newton_raphson` are written so that they do not cancel near
+the dual boundary (see :mod:`conebarriers.conjugate`), so no extended
+precision is needed.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ __all__ = [
     "StopRule",
     "RootResult",
     "newton_raphson",
-    "DoubleDouble",
-    "dd_sqrt",
 ]
 
 _EPS = 2.220446049250313e-16  # 2**-52
@@ -53,147 +50,6 @@ def wright_omega(beta: float) -> float:
             break
         x = x_new
     return x
-
-
-# --------------------------------------------------------------------------
-# Double-double arithmetic
-# --------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    # assumes |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-class DoubleDouble:
-    """Unevaluated sum ``hi + lo`` with ``|lo| <= ulp(hi)/2``."""
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float, lo: float = 0.0):
-        hi, lo = _two_sum(float(hi), float(lo))
-        self.hi = hi
-        self.lo = lo
-
-    # -- conversions ------------------------------------------------------
-    def __float__(self) -> float:
-        return self.hi + self.lo
-
-    def __repr__(self) -> str:
-        return f"DoubleDouble({self.hi!r}, {self.lo!r})"
-
-    # -- arithmetic -------------------------------------------------------
-    @staticmethod
-    def _coerce(x) -> "DoubleDouble":
-        return x if isinstance(x, DoubleDouble) else DoubleDouble(float(x))
-
-    def __add__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        s, e = _two_sum(self.hi, o.hi)
-        t, f = _two_sum(self.lo, o.lo)
-        e += t
-        s, e = _quick_two_sum(s, e)
-        e += f
-        hi, lo = _quick_two_sum(s, e)
-        out = object.__new__(DoubleDouble)
-        out.hi, out.lo = hi, lo
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DoubleDouble":
-        out = object.__new__(DoubleDouble)
-        out.hi, out.lo = -self.hi, -self.lo
-        return out
-
-    def __sub__(self, other) -> "DoubleDouble":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "DoubleDouble":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        p, e = _two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi
-        hi, lo = _quick_two_sum(p, e)
-        out = object.__new__(DoubleDouble)
-        out.hi, out.lo = hi, lo
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "DoubleDouble":
-        o = self._coerce(other)
-        q1 = self.hi / o.hi
-        rem = self - o * DoubleDouble(q1)
-        q2 = rem.hi / o.hi
-        rem = rem - o * DoubleDouble(q2)
-        q3 = rem.hi / o.hi
-        return DoubleDouble(q1) + DoubleDouble(q2) + DoubleDouble(q3)
-
-    def __rtruediv__(self, other) -> "DoubleDouble":
-        return self._coerce(other) / self
-
-    def __abs__(self) -> "DoubleDouble":
-        return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
-
-    # -- comparisons (against floats or DoubleDoubles) ---------------------
-    def _cmp(self, other) -> float:
-        d = self - self._coerce(other)
-        return d.hi if d.hi != 0.0 else d.lo
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0.0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0.0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0.0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0.0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0.0
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-
-
-def dd_sqrt(x) -> DoubleDouble:
-    """Square root of a nonnegative double-double value."""
-    x = DoubleDouble._coerce(x)
-    if x.hi < 0.0:
-        raise ValueError("dd_sqrt: negative operand")
-    if x.hi == 0.0:
-        return DoubleDouble(0.0)
-    s = math.sqrt(x.hi)
-    # one refinement step: s + (x - s^2) / (2 s) has double-double accuracy
-    return DoubleDouble(s) + (x - DoubleDouble(s) * DoubleDouble(s)) / (2.0 * s)
 
 
 # --------------------------------------------------------------------------
@@ -236,33 +92,30 @@ def newton_raphson(h_and_deriv, y0, stop: StopRule = StopRule()) -> RootResult:
     accepted steps, so a start point that already satisfies the residual
     test reports zero.
 
-    The callback may return floats or :class:`DoubleDouble` values; in the
-    latter case the step and the iterate are carried in double-double.
+    The callback maps a float ``y`` to the float pair ``(h(y), h'(y))``.
     """
-    y = y0
+    y = float(y0)
     h, hp = h_and_deriv(y)
     abs_h = stop.abs_h
     if abs_h is None:
-        abs_h = 1e3 * _EPS * (1.0 + abs(float(h)))
+        abs_h = 1e3 * _EPS * (1.0 + abs(h))
 
     def residual_stop(h, hp, y):
-        if abs(float(h)) > abs_h:
+        if abs(h) > abs_h:
             return False
-        if float(hp) == 0.0:
+        if hp == 0.0:
             return True
-        pending = abs(float(h) / float(hp))
-        return pending <= max(stop.root_rtol * abs(float(y)),
-                              stop.rel_step * (1.0 + abs(float(y))))
+        return abs(h / hp) <= max(stop.root_rtol * abs(y),
+                                  stop.rel_step * (1.0 + abs(y)))
 
     if residual_stop(h, hp, y):
-        return RootResult(float(y), 0, True, abs(float(h)))
+        return RootResult(y, 0, True, abs(h))
     for k in range(1, stop.max_iter + 1):
-        if float(hp) == 0.0:
-            return RootResult(float(y), k - 1, False, abs(float(h)))
+        if hp == 0.0:
+            return RootResult(y, k - 1, False, abs(h))
         step = h / hp
         y = y - step
         h, hp = h_and_deriv(y)
-        if residual_stop(h, hp, y) or \
-                abs(float(step)) <= stop.rel_step * (1.0 + abs(float(y))):
-            return RootResult(float(y), k, True, abs(float(h)))
-    return RootResult(float(y), stop.max_iter, False, abs(float(h)))
+        if residual_stop(h, hp, y) or abs(step) <= stop.rel_step * (1.0 + abs(y)):
+            return RootResult(y, k, True, abs(h))
+    return RootResult(y, stop.max_iter, False, abs(h))

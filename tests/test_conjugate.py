@@ -16,6 +16,7 @@ from conebarriers import (
     lemma_h,
     pack,
     sample_dual_point,
+    svd,
     unpack,
     value,
 )
@@ -207,11 +208,15 @@ class TestLemmaH:
         # radial start is left of the root of a decreasing h, and the norm
         # start is right of the root of an increasing h: h(y0) has a fixed
         # sign in all three cases
-        from conebarriers.conjugate import _rgeom_yminus, _rpower_tail_start
+        from conebarriers.conjugate import (
+            _linf_reduction,
+            _rgeom_yminus,
+            _rpower_tail_start,
+        )
 
         for _ in range(100):
             cone = random_cone(family, rng)
-            o = 10.0 ** rng.uniform(-5, -0.5)
+            o = 10.0 ** rng.uniform(-12, -0.5)
             r = sample_dual_point(cone, o, rng)
             fn = lemma_h(cone, r)
             fam = cone.family.value
@@ -229,12 +234,53 @@ class TestLemmaH:
                 h0, _ = fn(y0)
                 assert h0 >= -1e-12
             else:
-                p = float(r.epi)
-                sigma = r.vec if fam == "linf" else np.linalg.svd(r.mat, compute_uv=False)
-                l1 = float(np.sum(np.abs(sigma)))
-                y0 = min(-1.0 / (p - l1), -(sigma.size + 1.0) / p)
+                sigma = r.vec if fam == "linf" else svd(r.mat).sigma
+                _, y0 = _linf_reduction(float(r.epi), sigma)
                 h0, _ = fn(y0)
-                assert float(h0) >= -1e-12
+                assert h0 >= 0.0
+
+    def test_norm_callback_matches_direct_formula(self, rng):
+        # away from the boundary nothing cancels, so the split form must
+        # agree with h and h' evaluated directly, on both sides of y = 0
+        for _ in range(20):
+            cone = random_cone("linf", rng)
+            # one zero entry, and signs of both kinds
+            rv = rng.uniform(-1.0, 1.0, cone.d)
+            rv[0] = 0.0
+            p = 2.0 * float(np.sum(np.abs(rv)))
+            fn = lemma_h(cone, ConePoint(epi=p, vec=rv))
+            for y in (-7.0, -0.3, 0.0, 0.3, 7.0):
+                root = np.sqrt(1.0 + (rv * y) ** 2)
+                h, hp = fn(y)
+                assert h == pytest.approx(p * y + np.sum(root) + 1.0, rel=1e-13, abs=1e-13)
+                assert hp == pytest.approx(p + np.sum(rv**2 * y / root), rel=1e-13)
+
+    @pytest.mark.parametrize("family", ["linf", "lspec"])
+    @pytest.mark.parametrize("o", [1e-12, 1e-9, 1e-6])
+    def test_norm_root_matches_mpmath(self, family, o, rng):
+        # the root y = g*_p against a 50-digit root of the same function of
+        # the same binary64 inputs; near the boundary p y cancels the square
+        # roots, so this checks that h is evaluated without that cancellation
+        import mpmath as mp
+
+        for d in (2, 8, 24, 60):
+            for _ in range(3):
+                cone = ConeDescriptor.linf(d) if family == "linf" else \
+                    ConeDescriptor.lspec(d, d)
+                r = sample_dual_point(cone, o, rng)
+                sigma = r.vec if family == "linf" else svd(r.mat).sigma
+                yhat = float(conjugate_gradient(cone, r).g_star.epi)
+                with mp.workdps(50):
+                    p = mp.mpf(float(r.epi))
+                    lam = [mp.mpf(float(v)) for v in sigma]
+                    delta = p - mp.fsum(abs(v) for v in lam)
+
+                    def h(y):
+                        return p * y + mp.fsum(mp.sqrt(1 + (v * y) ** 2) for v in lam) + 1
+
+                    # h(y) lies between delta y + 1 and delta y + 1 + d
+                    y = mp.findroot(h, (-(d + 1) / delta, -1 / delta), solver="anderson")
+                    assert abs(yhat - y) <= 1e-10 * abs(y)
 
 
 class TestRoundTrips:

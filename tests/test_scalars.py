@@ -1,13 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conebarriers import (
-    DoubleDouble,
     StopRule,
-    dd_sqrt,
     newton_raphson,
     wright_omega,
 )
@@ -112,57 +109,3 @@ class TestNewtonRaphson:
                              StopRule(abs_h=0.0, rel_step=0.0, max_iter=64))
         assert not res.converged
         assert res.iterations == 64
-
-    def test_double_double_callback(self):
-        def fn(y):
-            y = y if isinstance(y, DoubleDouble) else DoubleDouble(y)
-            return y * y - 2.0, 2.0 * y
-
-        res = newton_raphson(fn, 2.0)
-        assert res.converged
-        assert res.root == pytest.approx(math.sqrt(2.0), abs=4 * EPS)
-
-
-class TestDoubleDouble:
-    def test_compensated_sum_keeps_low_part(self):
-        x = DoubleDouble(1.0) + (EPS / 4)
-        y = x - 1.0
-        assert float(y) == EPS / 4
-
-    def test_sqrt_four(self):
-        r = dd_sqrt(4.0)
-        assert r.hi == 2.0 and r.lo == 0.0
-
-    def test_sqrt_two_refined(self):
-        r = dd_sqrt(2.0)
-        err = (r * r) - 2.0
-        assert abs(float(err)) < 1e-31
-
-    def test_sum_of_tenths(self):
-        total = DoubleDouble(0.0)
-        for _ in range(10_000):
-            total = total + 0.1
-        exact = 10_000 * Fraction(0.1)
-        err = abs(Fraction(total.hi) + Fraction(total.lo) - exact)
-        assert err <= Fraction(1, 10**28)
-
-    def test_product_identity(self, rng):
-        for _ in range(100):
-            a, b = rng.uniform(-10, 10, 2)
-            p = DoubleDouble(a) * DoubleDouble(b)
-            exact = Fraction(a) * Fraction(b)
-            assert abs(Fraction(p.hi) + Fraction(p.lo) - exact) <= abs(exact) * Fraction(1, 10**30)
-
-    def test_division_roundtrip(self, rng):
-        for _ in range(100):
-            a, b = rng.uniform(0.1, 10, 2)
-            q = DoubleDouble(a) / DoubleDouble(b)
-            back = q * DoubleDouble(b)
-            assert abs(float(back - a)) <= 1e-29 * a
-
-    def test_comparisons(self):
-        one_plus = DoubleDouble(1.0, 1e-20)
-        assert one_plus > 1.0
-        assert DoubleDouble(1.0) == 1.0
-        assert DoubleDouble(-2.0) < -1.0
-        assert abs(DoubleDouble(-2.0)) == 2.0
