@@ -10,9 +10,16 @@ Matrix-family Hessians act on the full (not symmetrized) matrix space, where
 they remain symmetric positive definite; applied to symmetric directions they
 agree with the lifted vector-cone Hessians.
 
-The hypograph and radial power cones use closed-form inverse Hessian
-operators; every other family assembles the dense Hessian and solves with a
-Cholesky factorization.
+The hpower, hgeom, rpower, rgeom, logdet and rtdet families use closed-form
+inverse Hessian operators; log, linf and lspec assemble the dense Hessian and
+solve with a Cholesky factorization.  For logdet and rtdet the closed form
+first eliminates the ``u`` row, which fixes ``<grad zeta, y> = -zeta^2 x_u``.
+What is left is ``c kron(T, T)`` (``T = W^{-1}``) plus rank-one terms, and
+``kron(T, T)^{-1} = kron(W, W)``, so the solve is ``X -> W X W / c`` plus
+scalar corrections whose denominators are sums of positive terms.  It stays
+accurate next to the boundary, where the dense Hessian is too
+ill-conditioned to factor; the dense Hessians of these families serve as
+test oracles only.
 """
 
 from __future__ import annotations
@@ -187,6 +194,20 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
         out_m = -dc * t + c * (tx @ t)
         return ConePoint(epi=out_u, persp=out_v, mat=out_m)
 
+    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
+        check_shape(self.cone, x)
+        xu, xv, xm = float(x.epi), float(x.persp), x.mat
+        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
+        # eliminate u, then invert c kron(T, T) by X -> W X W / c
+        w = self.point.mat
+        a = 1.0 / zeta
+        c = 1.0 + v * a
+        tau = float(np.sum(w * xm)) + v * d * xu
+        yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
+        ym = (w @ xm @ w + (v * xu + a * yv) * w) / c
+        yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
+        return ConePoint(epi=yu, persp=yv, mat=ym)
+
     def _hessian_dense(self) -> np.ndarray:
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
         t = self._winv()
@@ -208,7 +229,7 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
 # hypograph power cone, geometric mean cone, root-determinant cone
 # --------------------------------------------------------------------------
 
-class _HPowerBase(BarrierWorkspace):
+class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def _prepare(self):
         p = self.point
         self.u = float(p.epi)
@@ -253,8 +274,6 @@ class _HPowerBase(BarrierWorkspace):
         h[idx, idx] += alpha * phi / (zeta * w**2) + 1.0 / w**2
         return h
 
-
-class _HPowerW(_HPowerBase, family=ConeFamily.HPOWER):
     def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
         # closed form derived by differentiating the conjugate-gradient map
         check_shape(self.cone, x)
@@ -270,10 +289,6 @@ class _HPowerW(_HPowerBase, family=ConeFamily.HPOWER):
             + (alpha * w / k1) * (phi / k3) * xu \
             + (gu * phi / k3) * s * (alpha * w / k1)
         return ConePoint(epi=out_u, vec=out_w)
-
-
-class _HGeomW(_HPowerBase, family=ConeFamily.HGEOM):
-    pass  # dense-factorization inverse from the base class
 
 
 class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
@@ -321,6 +336,21 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
         dc = dphi / (d * zeta) - phi * dzeta / (d * zeta**2)
         out_m = -dc * t + c * (tx @ t)
         return ConePoint(epi=out_u, mat=out_m)
+
+    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
+        check_shape(self.cone, x)
+        xu, xm = float(x.epi), x.mat
+        phi, zeta, d = self.phi, self.zeta, self.lam.size
+        # eliminate u, then invert c kron(T, T) by X -> W X W / c
+        w = self.point.mat
+        a = 1.0 / zeta
+        c = 1.0 + a * phi / d
+        beta = a * phi / d**2
+        k = (phi / d) * xu
+        tau = float(np.sum(w * xm)) + d * k
+        ym = (w @ xm @ w + (k + beta * tau) * w) / c
+        yu = (phi / d) * tau + zeta**2 * xu
+        return ConePoint(epi=yu, mat=ym)
 
     def _hessian_dense(self) -> np.ndarray:
         phi, zeta, d = self.phi, self.zeta, self.lam.size

@@ -153,6 +153,10 @@ def generic_conjugate_gradient(
         grad_obj = pack(cone, ws.gradient()) + rf
         step = pack(cone, ws.inverse_hessian_apply(unpack(cone, grad_obj)))
         rad = float(np.dot(grad_obj, step))
+        if not math.isfinite(rad):
+            # closed-form inverses have no pivot check; a non-finite local
+            # norm means the iterate is numerically off the interior
+            raise NonPositiveDefiniteError("non-finite local norm")
         return math.sqrt(max(rad, 0.0)), step
 
     status = NewtonStatus.CONVERGED

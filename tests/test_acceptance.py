@@ -181,18 +181,26 @@ def test_criterion_3_derivative_oracles():
 def test_criterion_4_closed_form_inverse_hessians():
     rng = np.random.default_rng(4)
     worst = 0.0
-    for family in ("hpower", "rpower"):
-        for _ in range(200):
+    for family in ("hpower", "rpower", "hgeom", "logdet", "rtdet"):
+        for i in range(200):
             d = int(rng.integers(2, 31))
             a = rng.uniform(0.05, 1.0, d)
             a /= a.sum()
             if family == "hpower":
                 cone = ConeDescriptor.hpower(a)
-            else:
+            elif family == "rpower":
                 cone = ConeDescriptor.rpower(int(rng.integers(1, 6)), a)
+            elif family == "hgeom":
+                cone = ConeDescriptor.hgeom(d)
+            else:
+                # the dense oracle has order d^2 + 2
+                cone = random_cone(family, rng, d=d // 2 + 1)
             w = interior_point(cone, rng)
             ws = BarrierWorkspace(cone, w)
             x = random_direction(cone, rng)
+            if i % 2 and family in ("logdet", "rtdet"):
+                # the matrix Hessians act on the full matrix space
+                x = rng.standard_normal(cone.ambient_dim)
             closed = pack(cone, ws.inverse_hessian_apply(unpack(cone, x)))
             dense = cholesky_solve(hessian_dense(cone, w), x)
             err = np.linalg.norm(closed - dense) / (1 + np.linalg.norm(dense))

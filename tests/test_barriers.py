@@ -7,16 +7,20 @@ from conebarriers import (
     ConePoint,
     NotInteriorError,
     cholesky_solve,
+    conjugate_gradient,
     gradient,
     hessian_apply,
     hessian_dense,
     inner,
     inverse_hessian_apply,
     pack,
+    sample_dual_point,
     unpack,
     value,
 )
 from conftest import ALL_FAMILIES, interior_point, random_cone, random_direction
+
+CLOSED_FORM_FAMILIES = ["hpower", "hgeom", "rpower", "rgeom", "logdet", "rtdet"]
 
 
 class TestValue:
@@ -180,17 +184,37 @@ class TestInverseHessian:
             wf = pack(cone, ws.point)
             assert np.linalg.norm(back - wf) <= 1e-9 * (1 + np.linalg.norm(wf))
 
-    @pytest.mark.parametrize("family", ["hpower", "rpower", "rgeom"])
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
     def test_closed_form_matches_dense_solve(self, family, rng):
         # the closed forms must agree with an independent factorization route
-        for _ in range(100):
+        for i in range(100):
             cone = random_cone(family, rng)
             w = interior_point(cone, rng)
             ws = BarrierWorkspace(cone, w)
             x = random_direction(cone, rng)
+            if i % 2 and cone.mat_shape is not None:
+                # the matrix-family Hessians act on the full matrix space,
+                # so the closed forms must hold off the symmetric subspace
+                x = rng.standard_normal(cone.ambient_dim)
             closed = pack(cone, ws.inverse_hessian_apply(unpack(cone, x)))
             dense = cholesky_solve(hessian_dense(cone, w), x)
             assert np.linalg.norm(closed - dense) <= 1e-10 * (1 + np.linalg.norm(dense))
+
+    @pytest.mark.parametrize("o", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("family", ["logdet", "rtdet", "hgeom"])
+    def test_backward_error_near_boundary(self, family, o, rng):
+        # at w = -g*(r) the dual point is r = -g(w) = H(w) w, part of the
+        # right-hand side g(w) + r of every Newton step; near the boundary
+        # a bordered 3x3 solve of the logdet scalar rows reads 1e-4 to 1e-1
+        # here at o = 1e-5, the eliminated form at most about 2e-7
+        for _ in range(10):
+            cone = random_cone(family, rng, d=8)
+            r = sample_dual_point(cone, o, rng)
+            w = unpack(cone, -pack(cone, conjugate_gradient(cone, r).g_star))
+            y = inverse_hessian_apply(cone, w, r)
+            x = pack(cone, r)
+            back = pack(cone, hessian_apply(cone, w, y))
+            assert np.linalg.norm(back - x) <= 1e-6 * np.linalg.norm(x)
 
     def test_inverse_rejects_non_interior(self):
         cone = ConeDescriptor.hgeom(2)

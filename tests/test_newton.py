@@ -187,6 +187,29 @@ class TestGenericSolver:
         diff = np.linalg.norm(pack(cone, gen.g_star) - pack(cone, spec.g_star))
         assert diff <= 1e-6 * (1 + np.linalg.norm(pack(cone, spec.g_star)))
 
+    def test_non_finite_local_norm_leaves_interior(self, rng, monkeypatch):
+        # a closed-form inverse has no pivot check, so a NaN step must end
+        # the solve like a failed factorization, not read as converged
+        cone = ConeDescriptor.hpower(np.array([0.1, 0.2, 0.3, 0.4]))
+        r = sample_dual_point(cone, 1e-2, rng)
+        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+        solve = cls.inverse_hessian_apply
+        calls = []
+
+        def nan_on_third_call(ws, x):
+            calls.append(None)
+            if len(calls) == 3:
+                return unpack(cone, np.full(cone.ambient_dim, np.nan))
+            return solve(ws, x)
+
+        monkeypatch.setattr(cls, "inverse_hessian_apply", nan_on_third_call)
+        res, trace = generic_conjugate_gradient(cone, r)
+        assert trace.status is NewtonStatus.LEFT_INTERIOR
+        assert not res.converged
+        assert all(np.isfinite(trace.lambdas))
+        # the best iterate seen is returned, and it is interior
+        assert in_interior(cone, neg(cone, res.g_star))
+
     @pytest.mark.parametrize("family", ["logdet", "rtdet", "lspec"])
     def test_matrix_cones_supported(self, family, rng):
         cone = random_cone(family, rng)
