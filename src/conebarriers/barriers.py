@@ -6,6 +6,12 @@ intermediates shared by the oracles at a fixed interior point (the residual
 decompositions, and the assembled Hessian factorization when the inverse has
 no closed form).  Workspaces are valid only for the point they were built at.
 
+Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
+the family code reads blocks as views of packed float64 vectors and returns
+packed vectors.  :class:`ConePoint` is converted only at the API edge, in
+the base class: a workspace built from a ``ConePoint``, or an oracle called
+with one, returns ``ConePoint`` results.
+
 Matrix-family Hessians act on the full (not symmetrized) matrix space, where
 they remain symmetric positive definite; applied to symmetric directions they
 agree with the lifted vector-cone Hessians.
@@ -25,18 +31,17 @@ test oracles only.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .cones import (
     ConeDescriptor,
     ConeFamily,
     ConePoint,
     NotInteriorError,
-    check_shape,
+    check_packed,
     pack,
     unpack,
 )
-from .linalg import cholesky_factor, sym_eigen, svd
+from .linalg import cholesky_factor, cholesky_factor_solve, sym_eigen, svd
 
 __all__ = [
     "BarrierWorkspace",
@@ -60,15 +65,18 @@ class BarrierWorkspace:
             for fam in families:
                 BarrierWorkspace._registry[fam] = cls
 
-    def __new__(cls, cone: ConeDescriptor, point: ConePoint):
+    def __new__(cls, cone: ConeDescriptor, point: ConePoint | np.ndarray):
         if cls is BarrierWorkspace:
             cls = BarrierWorkspace._registry[cone.family]
         return object.__new__(cls)
 
-    def __init__(self, cone: ConeDescriptor, point: ConePoint):
-        check_shape(cone, point)
+    def __init__(self, cone: ConeDescriptor, point: ConePoint | np.ndarray):
+        self._as_points = isinstance(point, ConePoint)
+        x = pack(cone, point) if self._as_points else np.array(check_packed(cone, point))
+        x.flags.writeable = False
         self.cone = cone
-        self.point = point
+        self.layout = cone.layout
+        self.x = x
         self._grad = None
         self._dense = None
         self._factor = None
@@ -78,24 +86,41 @@ class BarrierWorkspace:
                 f"point is not in the interior of the {cone.family.value} cone"
             )
 
-    # subclasses implement _prepare/_interior/value/gradient/hessian_apply
+    # subclasses implement _prepare/_interior/value/_gradient/_hessian_apply
+    # on packed vectors; the public oracles below are the ConePoint edge
 
-    def gradient(self) -> ConePoint:
+    @property
+    def point(self) -> ConePoint:
+        """The evaluation point as a new :class:`ConePoint`."""
+        return unpack(self.cone, self.x)
+
+    def _apply(self, op, x):
+        if isinstance(x, ConePoint):
+            return unpack(self.cone, op(pack(self.cone, x)))
+        y = op(check_packed(self.cone, x))
+        return unpack(self.cone, y) if self._as_points else y
+
+    def gradient(self):
         if self._grad is None:
             self._grad = self._gradient()
-        return self._grad
+            self._grad.flags.writeable = False
+        return unpack(self.cone, self._grad) if self._as_points else self._grad
+
+    def hessian_apply(self, x):
+        return self._apply(self._hessian_apply, x)
+
+    def inverse_hessian_apply(self, x):
+        return self._apply(self._inverse_hessian_apply, x)
 
     def hessian_dense(self) -> np.ndarray:
         if self._dense is None:
             self._dense = self._hessian_dense()
         return self._dense
 
-    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         if self._factor is None:
             self._factor = cholesky_factor(self.hessian_dense())
-        sol = scipy.linalg.cho_solve(self._factor, pack(self.cone, x),
-                                     check_finite=False)
-        return unpack(self.cone, sol)
+        return cholesky_factor_solve(self._factor, x)
 
 
 # --------------------------------------------------------------------------
@@ -128,16 +153,14 @@ class _LogCommon(BarrierWorkspace):
 
 class _LogW(_LogCommon, family=ConeFamily.LOG):
     def _prepare(self):
-        p = self.point
-        self._scalars(float(p.epi), float(p.persp), p.vec)
+        u, v, w, _ = self.layout.blocks(self.x)
+        self._scalars(u, v, w)
 
-    def _gradient(self) -> ConePoint:
-        gu, gv, gw = self._grad_scalars()
-        return ConePoint(epi=gu, persp=gv, vec=gw)
+    def _gradient(self) -> np.ndarray:
+        return self.layout.join(*self._grad_scalars())
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xv, xw = float(x.epi), float(x.persp), x.vec
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, xv, xw, _ = self.layout.blocks(x)
         v, w, zeta, sigma = self.v, self.lam, self.zeta, self.sigma
         sw = float(np.sum(xw / w))
         dzeta = -xu + sigma * xv + v * sw
@@ -146,7 +169,7 @@ class _LogW(_LogCommon, family=ConeFamily.LOG):
         out_v = -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
         out_w = (-(xv / zeta - v * dzeta / zeta**2) / w
                  + (v / zeta) * xw / w**2 + xw / w**2)
-        return ConePoint(epi=out_u, persp=out_v, vec=out_w)
+        return self.layout.join(out_u, out_v, out_w)
 
     def _hessian_dense(self) -> np.ndarray:
         v, w, zeta = self.v, self.lam, self.zeta
@@ -162,9 +185,9 @@ class _LogW(_LogCommon, family=ConeFamily.LOG):
 
 class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
     def _prepare(self):
-        p = self.point
-        self.eig = sym_eigen(p.mat)
-        self._scalars(float(p.epi), float(p.persp), self.eig.values)
+        u, v, _, self.W = self.layout.blocks(self.x)
+        self.eig = sym_eigen(self.W)
+        self._scalars(u, v, self.eig.values)
         self._inv = None
 
     def _winv(self) -> np.ndarray:
@@ -173,14 +196,13 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
             self._inv = (u / self.lam) @ u.T
         return self._inv
 
-    def _gradient(self) -> ConePoint:
+    def _gradient(self) -> np.ndarray:
         gu, gv, glam = self._grad_scalars()
         u = self.eig.vectors
-        return ConePoint(epi=gu, persp=gv, mat=(u * glam) @ u.T)
+        return self.layout.join(gu, gv, mat=(u * glam) @ u.T)
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xv, xm = float(x.epi), float(x.persp), x.mat
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, xv, _, xm = self.layout.blocks(x)
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
         t = self._winv()
         tx = t @ xm
@@ -192,21 +214,20 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
         c = v / zeta + 1.0
         dc = xv / zeta - v * dzeta / zeta**2
         out_m = -dc * t + c * (tx @ t)
-        return ConePoint(epi=out_u, persp=out_v, mat=out_m)
+        return self.layout.join(out_u, out_v, mat=out_m)
 
-    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xv, xm = float(x.epi), float(x.persp), x.mat
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, xv, _, xm = self.layout.blocks(x)
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
         # eliminate u, then invert c kron(T, T) by X -> W X W / c
-        w = self.point.mat
+        w = self.W
         a = 1.0 / zeta
         c = 1.0 + v * a
         tau = float(np.sum(w * xm)) + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
         ym = (w @ xm @ w + (v * xu + a * yv) * w) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
-        return ConePoint(epi=yu, persp=yv, mat=ym)
+        return self.layout.join(yu, yv, mat=ym)
 
     def _hessian_dense(self) -> np.ndarray:
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
@@ -231,9 +252,7 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
 
 class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def _prepare(self):
-        p = self.point
-        self.u = float(p.epi)
-        self.w = p.vec
+        self.u, _, self.w, _ = self.layout.blocks(self.x)
         self.alpha = self.cone.alpha
         if np.all(self.w > 0.0):
             self.lw = np.log(self.w)
@@ -248,21 +267,20 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def value(self) -> float:
         return -np.log(self.zeta) - float(np.sum(self.lw))
 
-    def _gradient(self) -> ConePoint:
+    def _gradient(self) -> np.ndarray:
         gu = 1.0 / self.zeta
         gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
-        return ConePoint(epi=gu, vec=gw)
+        return self.layout.join(gu, vec=gw)
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xw = float(x.epi), x.vec
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, xw, _ = self.layout.blocks(x)
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
         dphi = phi * float(np.dot(alpha, xw / w))
         dzeta = -xu + dphi
         out_u = -dzeta / zeta**2
         dk = dphi / zeta - phi * dzeta / zeta**2
         out_w = -alpha * dk / w + (phi / zeta) * alpha * xw / w**2 + xw / w**2
-        return ConePoint(epi=out_u, vec=out_w)
+        return self.layout.join(out_u, vec=out_w)
 
     def _hessian_dense(self) -> np.ndarray:
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
@@ -274,10 +292,9 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         h[idx, idx] += alpha * phi / (zeta * w**2) + 1.0 / w**2
         return h
 
-    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         # closed form derived by differentiating the conjugate-gradient map
-        check_shape(self.cone, x)
-        xu, z = float(x.epi), x.vec
+        xu, _, z, _ = self.layout.blocks(x)
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
         gu = 1.0 / zeta
         k1 = 1.0 + alpha * phi * gu
@@ -288,14 +305,13 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         out_w = (w**2 / k1) * z \
             + (alpha * w / k1) * (phi / k3) * xu \
             + (gu * phi / k3) * s * (alpha * w / k1)
-        return ConePoint(epi=out_u, vec=out_w)
+        return self.layout.join(out_u, vec=out_w)
 
 
 class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
     def _prepare(self):
-        p = self.point
-        self.u = float(p.epi)
-        self.eig = sym_eigen(p.mat)
+        self.u, _, _, self.W = self.layout.blocks(self.x)
+        self.eig = sym_eigen(self.W)
         self.lam = self.eig.values
         if np.all(self.lam > 0.0):
             self.llam = np.log(self.lam)
@@ -317,15 +333,14 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
     def value(self) -> float:
         return -np.log(self.zeta) - float(np.sum(self.llam))
 
-    def _gradient(self) -> ConePoint:
+    def _gradient(self) -> np.ndarray:
         d = self.lam.size
         glam = -(self.phi / d) / (self.zeta * self.lam) - 1.0 / self.lam
         u = self.eig.vectors
-        return ConePoint(epi=1.0 / self.zeta, mat=(u * glam) @ u.T)
+        return self.layout.join(1.0 / self.zeta, mat=(u * glam) @ u.T)
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xm = float(x.epi), x.mat
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, _, xm = self.layout.blocks(x)
         phi, zeta, d = self.phi, self.zeta, self.lam.size
         t = self._winv()
         tx = t @ xm
@@ -335,14 +350,13 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
         c = phi / (d * zeta) + 1.0
         dc = dphi / (d * zeta) - phi * dzeta / (d * zeta**2)
         out_m = -dc * t + c * (tx @ t)
-        return ConePoint(epi=out_u, mat=out_m)
+        return self.layout.join(out_u, mat=out_m)
 
-    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xm = float(x.epi), x.mat
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, _, xm = self.layout.blocks(x)
         phi, zeta, d = self.phi, self.zeta, self.lam.size
         # eliminate u, then invert c kron(T, T) by X -> W X W / c
-        w = self.point.mat
+        w = self.W
         a = 1.0 / zeta
         c = 1.0 + a * phi / d
         beta = a * phi / d**2
@@ -350,7 +364,7 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
         tau = float(np.sum(w * xm)) + d * k
         ym = (w @ xm @ w + (k + beta * tau) * w) / c
         yu = (phi / d) * tau + zeta**2 * xu
-        return ConePoint(epi=yu, mat=ym)
+        return self.layout.join(yu, mat=ym)
 
     def _hessian_dense(self) -> np.ndarray:
         phi, zeta, d = self.phi, self.zeta, self.lam.size
@@ -371,11 +385,11 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
 # radial power cone
 # --------------------------------------------------------------------------
 
-class _RPowerBase(BarrierWorkspace):
+class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
+    # the radial block is read and written as a vector, also for rgeom
     def _prepare(self):
-        p = self.point
-        self.u = np.atleast_1d(np.asarray(p.epi, dtype=float))
-        self.w = p.vec
+        self.u = self.x[self.layout.epi]
+        self.w = self.x[self.layout.vec]
         self.alpha = self.cone.alpha
         self.nrm2 = float(np.dot(self.u, self.u))
         if np.all(self.w > 0.0):
@@ -388,9 +402,6 @@ class _RPowerBase(BarrierWorkspace):
     def _interior(self) -> bool:
         return np.all(self.w > 0.0) and self.zeta > 0.0
 
-    def _epi_out(self, arr: np.ndarray):
-        return arr if self.cone.family is ConeFamily.RPOWER else float(arr[0])
-
     def value(self) -> float:
         return -np.log(self.zeta) - float(np.dot(1.0 - self.alpha, self.lw))
 
@@ -398,14 +409,11 @@ class _RPowerBase(BarrierWorkspace):
         return (-2.0 * self.alpha * self.phi / (self.w * self.zeta)
                 - (1.0 - self.alpha) / self.w)
 
-    def _gradient(self) -> ConePoint:
-        gu = 2.0 * self.u / self.zeta
-        return ConePoint(epi=self._epi_out(gu), vec=self._gw())
+    def _gradient(self) -> np.ndarray:
+        return self.layout.join(2.0 * self.u / self.zeta, vec=self._gw())
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu = np.atleast_1d(np.asarray(x.epi, dtype=float))
-        xw = x.vec
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, xw = x[self.layout.epi], x[self.layout.vec]
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
         dphi = 2.0 * phi * float(np.dot(alpha, xw / w))
         dzeta = dphi - 2.0 * float(np.dot(u, xu))
@@ -414,7 +422,7 @@ class _RPowerBase(BarrierWorkspace):
         out_w = (-2.0 * alpha * dk / w
                  + 2.0 * alpha * phi * xw / (zeta * w**2)
                  + (1.0 - alpha) * xw / w**2)
-        return ConePoint(epi=self._epi_out(out_u), vec=out_w)
+        return self.layout.join(out_u, vec=out_w)
 
     def _hessian_dense(self) -> np.ndarray:
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
@@ -429,11 +437,9 @@ class _RPowerBase(BarrierWorkspace):
         h[iw, iw] += 2.0 * alpha * phi / (zeta * w**2) + (1.0 - alpha) / w**2
         return h
 
-    def inverse_hessian_apply(self, x: ConePoint) -> ConePoint:
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         # closed form derived by differentiating the conjugate-gradient map
-        check_shape(self.cone, x)
-        xu = np.atleast_1d(np.asarray(x.epi, dtype=float))
-        z = x.vec
+        xu, z = x[self.layout.epi], x[self.layout.vec]
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
         gw = self._gw()
         k1 = phi + self.nrm2
@@ -443,15 +449,7 @@ class _RPowerBase(BarrierWorkspace):
         s = float(np.sum(alpha * z / gw))
         out_u = 0.5 * zeta * xu - (u / k3) * (((2.0 * k2 * phi + zeta * k3) / k1) * xu_u + s)
         out_w = -(w / gw) * z - (alpha / (k3 * gw)) * (xu_u - (2.0 * self.nrm2 / zeta) * s)
-        return ConePoint(epi=self._epi_out(out_u), vec=out_w)
-
-
-class _RPowerW(_RPowerBase, family=ConeFamily.RPOWER):
-    pass
-
-
-class _RGeomW(_RPowerBase, family=ConeFamily.RGEOM):
-    pass
+        return self.layout.join(out_u, vec=out_w)
 
 
 # --------------------------------------------------------------------------
@@ -460,9 +458,7 @@ class _RGeomW(_RPowerBase, family=ConeFamily.RGEOM):
 
 class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self):
-        p = self.point
-        self.u = float(p.epi)
-        self.w = p.vec
+        self.u, _, self.w, _ = self.layout.blocks(self.x)
         self.zi = self.u**2 - self.w**2
 
     def _interior(self) -> bool:
@@ -471,20 +467,19 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def value(self) -> float:
         return -float(np.sum(np.log(self.zi))) + (self.w.size - 1) * np.log(self.u)
 
-    def _gradient(self) -> ConePoint:
+    def _gradient(self) -> np.ndarray:
         d = self.w.size
         gu = (d - 1) / self.u - 2.0 * self.u * float(np.sum(1.0 / self.zi))
-        return ConePoint(epi=gu, vec=2.0 * self.w / self.zi)
+        return self.layout.join(gu, vec=2.0 * self.w / self.zi)
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xw = float(x.epi), x.vec
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, xw, _ = self.layout.blocks(x)
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         dz = 2.0 * u * xu - 2.0 * w * xw
         out_u = -(d - 1) * xu / u**2 - float(np.sum(2.0 * xu / zi - 2.0 * u * dz / zi**2))
         out_w = 2.0 * xw / zi - 2.0 * w * dz / zi**2
-        return ConePoint(epi=out_u, vec=out_w)
+        return self.layout.join(out_u, vec=out_w)
 
     def _hessian_dense(self) -> np.ndarray:
         u, w, zi = self.u, self.w, self.zi
@@ -500,10 +495,8 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
 
 class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
     def _prepare(self):
-        p = self.point
-        self.u = float(p.epi)
-        self.W = p.mat
-        self.svd = svd(p.mat)
+        self.u, _, _, self.W = self.layout.blocks(self.x)
+        self.svd = svd(self.W)
         self.zi = self.u**2 - self.svd.sigma**2
 
     def _interior(self) -> bool:
@@ -518,16 +511,15 @@ class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
         u = self.svd.U
         return (u / self.zi) @ u.T
 
-    def _gradient(self) -> ConePoint:
+    def _gradient(self) -> np.ndarray:
         d1 = self.svd.sigma.size
         gu = (d1 - 1) / self.u - 2.0 * self.u * float(np.sum(1.0 / self.zi))
         gr = 2.0 * self.svd.sigma / self.zi
         gm = (self.svd.U * gr) @ self.svd.V.T
-        return ConePoint(epi=gu, mat=gm)
+        return self.layout.join(gu, mat=gm)
 
-    def hessian_apply(self, x: ConePoint) -> ConePoint:
-        check_shape(self.cone, x)
-        xu, xm = float(x.epi), x.mat
+    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, _, xm = self.layout.blocks(x)
         u, w = self.u, self.W
         d1 = self.svd.sigma.size
         t = self._t()
@@ -539,7 +531,7 @@ class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
         tw = t @ w
         out_m = -4.0 * u * xu * (t @ tw) \
             + 2.0 * t @ (xm @ w.T + w @ xm.T) @ tw + 2.0 * t @ xm
-        return ConePoint(epi=out_u, mat=out_m)
+        return self.layout.join(out_u, mat=out_m)
 
     def _hessian_dense(self) -> np.ndarray:
         u, w = self.u, self.W

@@ -20,12 +20,19 @@ Matrix families (unitarily invariant lifts of the above):
 A single :class:`ConePoint` container holds both primal and dual points.
 Slots pair positionally under the ambient inner product: a primal
 ``(u, v, w)`` pairs with a dual ``(p, q, r)`` as ``u*p + v*q + <w, r>``.
+
+Inside the package points live as packed float64 vectors
+``[epi, persp, vec, mat.ravel()]`` (absent blocks skipped).  Each
+descriptor gets its :class:`PackedLayout` at construction, shared with every
+descriptor of the same shape; :func:`pack`, :func:`unpack` and the barrier
+workspaces read and write blocks through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +41,7 @@ __all__ = [
     "PowerParams",
     "ConeDescriptor",
     "ConePoint",
+    "PackedLayout",
     "NotInteriorError",
     "barrier_parameter",
     "in_interior",
@@ -96,6 +104,69 @@ class PowerParams:
 
 
 @dataclass(frozen=True)
+class PackedLayout:
+    """Positions of a point's blocks in its packed ambient vector.
+
+    ``epi`` is the leading block: one scalar, or the ``d1`` radial block of
+    ``rpower`` (``radial``).  ``persp`` is an index, ``vec`` and ``mat``
+    are slices, and ``mat`` is stored row-major with shape ``mat_shape``.
+    """
+
+    size: int
+    epi: slice
+    radial: bool
+    persp: int | None
+    vec: slice | None
+    mat: slice | None
+    mat_shape: tuple[int, int] | None
+
+    def blocks(self, x: np.ndarray):
+        """``(epi, persp, vec, mat)`` of a packed vector: scalars as floats,
+        arrays as views of ``x``, absent blocks as ``None``."""
+        epi = x[self.epi] if self.radial else float(x[0])
+        persp = None if self.persp is None else float(x[self.persp])
+        vec = None if self.vec is None else x[self.vec]
+        mat = None if self.mat is None else x[self.mat].reshape(self.mat_shape)
+        return epi, persp, vec, mat
+
+    def join(self, epi, persp=None, vec=None, mat=None) -> np.ndarray:
+        """New packed vector from its blocks (inverse of :meth:`blocks`)."""
+        x = np.empty(self.size)
+        x[self.epi] = epi
+        if self.persp is not None:
+            x[self.persp] = persp
+        if self.vec is not None:
+            x[self.vec] = vec
+        if self.mat is not None:
+            x[self.mat] = np.ravel(mat)
+        return x
+
+
+@lru_cache(maxsize=256)
+def _packed_layout(epi_dim: int, radial: bool, has_persp: bool, vec_dim: int,
+                   mat_shape: tuple[int, int] | None) -> PackedLayout:
+    pos = epi_dim
+    persp = vec = mat = None
+    if has_persp:
+        persp, pos = pos, pos + 1
+    if vec_dim:
+        vec = slice(pos, pos + vec_dim)
+        pos = vec.stop
+    if mat_shape is not None:
+        mat = slice(pos, pos + mat_shape[0] * mat_shape[1])
+        pos = mat.stop
+    return PackedLayout(size=pos, epi=slice(0, epi_dim), radial=radial,
+                        persp=persp, vec=vec, mat=mat, mat_shape=mat_shape)
+
+
+@lru_cache(maxsize=64)
+def _equal_weights(n: int) -> np.ndarray:
+    alpha = np.full(n, 1.0 / n)
+    alpha.flags.writeable = False
+    return alpha
+
+
+@dataclass(frozen=True)
 class ConeDescriptor:
     """Identifies a cone family together with its dimensions and parameters.
 
@@ -108,6 +179,8 @@ class ConeDescriptor:
     d1: int = 0
     d2: int = 0
     powers: PowerParams | None = field(default=None)
+    # block positions in the packed vector, set at construction
+    layout: PackedLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fam = self.family
@@ -141,6 +214,9 @@ class ConeDescriptor:
                 raise ValueError("lspec: need 1 <= d1 <= d2")
         else:  # pragma: no cover - exhaustive over the enum
             raise ValueError(f"unknown family {fam!r}")
+        object.__setattr__(self, "layout", _packed_layout(
+            self.epi_dim, fam is ConeFamily.RPOWER, self.has_persp,
+            self.vec_dim, self.mat_shape))
 
     # ---------------------------------------------------------------- ctors
     @classmethod
@@ -197,14 +273,12 @@ class ConeDescriptor:
 
     @property
     def alpha(self) -> np.ndarray:
-        """Simplex weights, materializing the implicit equal weights."""
+        """Read-only simplex weights, materializing the implicit equal weights."""
         fam = self.family
         if fam is ConeFamily.HPOWER or fam is ConeFamily.RPOWER:
             return self.powers.alpha
-        if fam is ConeFamily.HGEOM:
-            return np.full(self.d, 1.0 / self.d)
-        if fam is ConeFamily.RGEOM:
-            return np.full(self.d2, 1.0 / self.d2)
+        if fam is ConeFamily.HGEOM or fam is ConeFamily.RGEOM:
+            return _equal_weights(self.vec_dim)
         raise AttributeError(f"{fam.value} has no power parameters")
 
     @property
@@ -237,11 +311,7 @@ class ConeDescriptor:
 
     @property
     def ambient_dim(self) -> int:
-        n = self.epi_dim + (1 if self.has_persp else 0) + self.vec_dim
-        shape = self.mat_shape
-        if shape is not None:
-            n += shape[0] * shape[1]
-        return n
+        return self.layout.size
 
 
 @dataclass(frozen=True)
@@ -322,41 +392,21 @@ def _epi_radial(point: ConePoint) -> np.ndarray:
 def pack(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
     """Flatten a point into the cone's ambient coordinate vector."""
     check_shape(cone, point)
-    parts = []
-    if cone.family is ConeFamily.RPOWER:
-        parts.append(_epi_radial(point))
-    else:
-        parts.append(np.array([_epi_scalar(point)]))
-    if cone.has_persp:
-        parts.append(np.array([float(point.persp)]))
-    if cone.vec_dim:
-        parts.append(point.vec)
-    if cone.mat_shape is not None:
-        parts.append(point.mat.ravel())
-    return np.concatenate(parts)
+    return cone.layout.join(point.epi, point.persp, point.vec, point.mat)
+
+
+def check_packed(cone: ConeDescriptor, x) -> np.ndarray:
+    """``x`` as a float vector; ``ValueError`` unless it has the packed length."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cone.layout.size,):
+        raise ValueError(f"expected flat vector of length {cone.layout.size}")
+    return x
 
 
 def unpack(cone: ConeDescriptor, x: np.ndarray) -> ConePoint:
     """Inverse of :func:`pack`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cone.ambient_dim,):
-        raise ValueError(f"expected flat vector of length {cone.ambient_dim}")
-    k = cone.epi_dim
-    epi = x[:k].copy() if cone.family is ConeFamily.RPOWER else float(x[0])
-    pos = k
-    persp = None
-    if cone.has_persp:
-        persp = float(x[pos])
-        pos += 1
-    vec = None
-    if cone.vec_dim:
-        vec = x[pos:pos + cone.vec_dim].copy()
-        pos += cone.vec_dim
-    mat = None
-    shape = cone.mat_shape
-    if shape is not None:
-        mat = x[pos:].reshape(shape).copy()
-    return ConePoint(epi=epi, persp=persp, vec=vec, mat=mat)
+    # ConePoint copies the block views
+    return ConePoint(*cone.layout.blocks(check_packed(cone, x)))
 
 
 def inner(cone: ConeDescriptor, x: ConePoint, y: ConePoint) -> float:

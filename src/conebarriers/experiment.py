@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("offsets must lie strictly in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and positive; got {self.eps!r}")
         if self.fmt not in ("csv", "markdown"):
             raise ValueError("format must be 'csv' or 'markdown'")
 

@@ -3,7 +3,10 @@
 Thin wrappers over LAPACK (via numpy/scipy) that enforce the contracts the
 rest of the package relies on: validated symmetry, descending spectra, and a
 distinct error type when a Cholesky pivot fails so the caller can report that
-an iterate left the cone interior instead of crashing.
+an iterate left the cone interior instead of crashing.  The Cholesky routines
+call ``dpotrf``/``dpotrs`` directly, the same routines, with the same
+arguments, as ``scipy.linalg.cho_factor``/``cho_solve``, without the
+wrappers' per-call validation overhead.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "SymEigen",
@@ -20,6 +23,7 @@ __all__ = [
     "sym_eigen",
     "svd",
     "cholesky_factor",
+    "cholesky_factor_solve",
     "cholesky_solve",
 ]
 
@@ -81,22 +85,28 @@ def svd(a: np.ndarray) -> Svd:
     return Svd(U=u, sigma=sigma, V=vt.T.copy())
 
 
-def cholesky_factor(h: np.ndarray):
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
+def cholesky_factor(h: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a symmetric positive definite matrix.
 
-    Raises :class:`NonPositiveDefiniteError` when a pivot fails, which the
-    Newton solver interprets as the evaluation point having left the cone
-    interior.
+    The factor is the lower triangle of the returned array; the strict upper
+    triangle is left as LAPACK leaves it.  Raises
+    :class:`NonPositiveDefiniteError` when a pivot fails, which the Newton
+    solver interprets as the evaluation point having left the cone interior.
     """
-    h = np.asarray(h, dtype=float)
-    try:
-        return scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NonPositiveDefiniteError(str(exc)) from exc
+    c, info = dpotrf(np.asarray(h, dtype=float), lower=1, clean=0)
+    if info > 0:
+        raise NonPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return c
+
+
+def cholesky_factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``H x = b`` given ``c = cholesky_factor(H)``."""
+    x, _ = dpotrs(c, b, lower=1)
+    return x
 
 
 def cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``H x = b`` for symmetric positive definite ``H``."""
-    factor = cholesky_factor(h)
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float),
-                                  check_finite=False)
+    return cholesky_factor_solve(cholesky_factor(h), np.asarray(b, dtype=float))

@@ -17,6 +17,11 @@ produces the step.  The algebraically equal form
 ``lambda`` is small (the radicand is a difference of numbers of size
 ``nu``), so it could never reach the default tolerance of 1000 times
 machine epsilon; it is exposed separately as :func:`local_norm_lambda`.
+
+The iteration works in packed coordinates end to end: iterates, steps and
+workspaces (``BarrierWorkspace(cone, x)`` on a packed vector) are float64
+vectors in the cone's :class:`~.cones.PackedLayout`, and :class:`ConePoint`
+appears only at the API edge, in the arguments and the returned ``g_star``.
 """
 
 from __future__ import annotations
@@ -75,10 +80,9 @@ def local_norm_lambda(cone: ConeDescriptor, w: ConePoint, r: ConePoint) -> float
     """Local norm of the objective gradient via the simplified radicand
     ``nu - 2 <w, r> + <r, H(w)^{-1} r>``, clamped at zero against round-off.
     """
-    ws = BarrierWorkspace(cone, w)
     rf = pack(cone, r)
     wf = pack(cone, w)
-    hinv_r = pack(cone, ws.inverse_hessian_apply(r))
+    hinv_r = BarrierWorkspace(cone, wf).inverse_hessian_apply(rf)
     rad = cone.nu - 2.0 * float(np.dot(wf, rf)) + float(np.dot(rf, hinv_r))
     return math.sqrt(max(rad, 0.0))
 
@@ -109,19 +113,20 @@ def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
     dual interior point have positive pairing, and cones are invariant
     under positive scaling, so the result stays interior.
     """
-    wc = _canonical_interior(cone)
-    theta = cone.nu / float(np.dot(pack(cone, wc), pack(cone, r)))
-    return unpack(cone, theta * pack(cone, wc))
+    return unpack(cone, _initial_packed(cone, pack(cone, r)))
 
 
-def _symmetrize_inplace(cone: ConeDescriptor, wf: np.ndarray) -> np.ndarray:
+def _initial_packed(cone: ConeDescriptor, rf: np.ndarray) -> np.ndarray:
+    wc = pack(cone, _canonical_interior(cone))
+    return (cone.nu / float(np.dot(wc, rf))) * wc
+
+
+def _symmetrize_inplace(cone: ConeDescriptor, wf: np.ndarray) -> None:
     # round-off can drift the matrix block of an iterate off the symmetric
     # subspace, which the membership test rejects
     if cone.family in (ConeFamily.LOGDET, ConeFamily.RTDET):
-        pt = unpack(cone, wf)
-        m = 0.5 * (pt.mat + pt.mat.T)
-        return pack(cone, ConePoint(epi=pt.epi, persp=pt.persp, vec=pt.vec, mat=m))
-    return wf
+        _, _, _, m = cone.layout.blocks(wf)
+        m[...] = 0.5 * (m + m.T)
 
 
 def generic_conjugate_gradient(
@@ -137,8 +142,8 @@ def generic_conjugate_gradient(
     returns the best iterate seen, mirroring the use of stalling as a
     stopping rather than failure condition.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive; got {eps!r}")
     if not dual_in_interior(cone, r):
         raise NotInteriorError(
             f"dual point is not interior to the {cone.family.value} dual cone"
@@ -147,11 +152,11 @@ def generic_conjugate_gradient(
         raise NotInteriorError("supplied initial point is not interior")
 
     rf = pack(cone, r)
-    wf = pack(cone, w0 if w0 is not None else default_initial_point(cone, r))
+    wf = pack(cone, w0) if w0 is not None else _initial_packed(cone, rf)
 
     def lam_and_direction(ws: BarrierWorkspace):
-        grad_obj = pack(cone, ws.gradient()) + rf
-        step = pack(cone, ws.inverse_hessian_apply(unpack(cone, grad_obj)))
+        grad_obj = ws.gradient() + rf
+        step = ws.inverse_hessian_apply(grad_obj)
         rad = float(np.dot(grad_obj, step))
         if not math.isfinite(rad):
             # closed-form inverses have no pivot check; a non-finite local
@@ -162,7 +167,7 @@ def generic_conjugate_gradient(
     status = NewtonStatus.CONVERGED
     iterations = 0
     try:
-        ws = BarrierWorkspace(cone, unpack(cone, wf))
+        ws = BarrierWorkspace(cone, wf)
         lam, step = lam_and_direction(ws)
     except (NotInteriorError, NonPositiveDefiniteError):
         # the constructed initial point is interior by design; only extreme
@@ -179,9 +184,10 @@ def generic_conjugate_gradient(
         alpha = 1.0 / (1.0 + lam) if lam > DAMPED_THRESHOLD else 1.0
         accepted = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand = _symmetrize_inplace(cone, wf - alpha * step)
+            cand = wf - alpha * step
+            _symmetrize_inplace(cone, cand)
             try:
-                cand_ws = BarrierWorkspace(cone, unpack(cone, cand))
+                cand_ws = BarrierWorkspace(cone, cand)
                 accepted = (cand, cand_ws)
                 break
             except (NotInteriorError, NonPositiveDefiniteError):

@@ -163,6 +163,42 @@ class TestHessian:
         np.testing.assert_allclose(np.diag(hm.mat), hv.vec, rtol=1e-12)
 
 
+class TestPackedWorkspace:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_packed_matches_cone_point(self, family, rng):
+        # one code path: the ConePoint edge only packs and unpacks
+        for _ in range(10):
+            cone = random_cone(family, rng)
+            w = interior_point(cone, rng)
+            ws_point = BarrierWorkspace(cone, w)
+            ws_packed = BarrierWorkspace(cone, pack(cone, w))
+            assert ws_packed.value() == ws_point.value()
+            np.testing.assert_array_equal(ws_packed.gradient(),
+                                          pack(cone, ws_point.gradient()))
+            x = random_direction(cone, rng)
+            for oracle in ("hessian_apply", "inverse_hessian_apply"):
+                packed = getattr(ws_packed, oracle)(x)
+                assert isinstance(packed, np.ndarray)
+                np.testing.assert_array_equal(
+                    packed, pack(cone, getattr(ws_point, oracle)(unpack(cone, x))))
+            # a ConePoint on either side makes the result a ConePoint
+            assert isinstance(ws_point.hessian_apply(x), ConePoint)
+            assert isinstance(ws_packed.hessian_apply(unpack(cone, x)), ConePoint)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_packed_input_checks(self, family, rng):
+        cone = random_cone(family, rng)
+        wf = pack(cone, interior_point(cone, rng))
+        with pytest.raises(ValueError):
+            BarrierWorkspace(cone, wf[:-1])
+        with pytest.raises(ValueError):
+            BarrierWorkspace(cone, np.append(wf, 1.0))
+        with pytest.raises(NotInteriorError):
+            BarrierWorkspace(cone, -wf)
+        with pytest.raises(ValueError):
+            BarrierWorkspace(cone, wf).hessian_apply(wf[:-1])
+
+
 class TestInverseHessian:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_inverse_composition_identity(self, family, rng):

@@ -20,6 +20,12 @@ class TestPowerParams:
     def test_valid(self):
         p = PowerParams(np.array([0.25, 0.75]))
         assert p.d == 2
+        # every power family hands out shared, read-only weights
+        for cone in (ConeDescriptor.hpower(p), ConeDescriptor.hgeom(3),
+                     ConeDescriptor.rpower(2, p), ConeDescriptor.rgeom(3)):
+            assert not cone.alpha.flags.writeable
+            assert cone.alpha is cone.alpha
+        np.testing.assert_array_equal(ConeDescriptor.rgeom(3).alpha, np.full(3, 1.0 / 3.0))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

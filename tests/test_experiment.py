@@ -151,6 +151,9 @@ class TestRunGrid:
             ExperimentConfig(cones=("nosuchcone",))
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="tsv")
+        for eps in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ExperimentConfig(eps=eps)
 
     def test_failures_counted_without_aborting(self, monkeypatch):
         import conebarriers.experiment as exp
@@ -254,6 +257,11 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--offsets", "1.5"])
         assert exc.value.code != 0
+        for eps in ("nan", "inf", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["--cones", "linf", "--dims", "4", "--offsets", "0.1",
+                          "--trials", "2", "--eps", eps])
+            assert exc.value.code == 2
 
     def test_unknown_cone_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

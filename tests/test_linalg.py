@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conebarriers import (
     NonPositiveDefiniteError,
@@ -95,6 +96,15 @@ class TestCholeskySolve:
             x = cholesky_solve(h, b)
             cond = np.linalg.cond(h)
             assert np.linalg.norm(h @ x - b) <= 1e-10 * cond * max(np.linalg.norm(b), 1.0)
+
+    def test_bit_identical_to_scipy_wrappers(self, rng):
+        # the direct LAPACK calls must reproduce cho_factor/cho_solve exactly
+        for n in range(1, 61):
+            a = rng.standard_normal((n, n))
+            h = a @ a.T + n * np.eye(n)
+            b = rng.standard_normal(n)
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True), b)
+            np.testing.assert_array_equal(cholesky_solve(h, b), ref)
 
     def test_non_pd_raises_distinct_error(self):
         h = np.array([[1.0, 0.0], [0.0, -1.0]])

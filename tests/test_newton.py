@@ -172,8 +172,11 @@ class TestGenericSolver:
     def test_rejects_bad_eps(self, rng):
         cone = ConeDescriptor.linf(2)
         r = sample_dual_point(cone, 0.3, rng)
-        with pytest.raises(ValueError):
-            generic_conjugate_gradient(cone, r, eps=0.0)
+        # lam > nan is false, so a NaN tolerance would stop at the start
+        # point and read as converged
+        for eps in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                generic_conjugate_gradient(cone, r, eps=eps)
 
     def test_stall_returns_best_iterate(self, rng):
         # deep-offset instances stop by stalling at the round-off floor of
@@ -199,7 +202,9 @@ class TestGenericSolver:
         def nan_on_third_call(ws, x):
             calls.append(None)
             if len(calls) == 3:
-                return unpack(cone, np.full(cone.ambient_dim, np.nan))
+                # NaNs of the kind received: the solver passes packed vectors
+                nan = np.full(cone.ambient_dim, np.nan)
+                return nan if isinstance(x, np.ndarray) else unpack(cone, nan)
             return solve(ws, x)
 
         monkeypatch.setattr(cls, "inverse_hessian_apply", nan_on_third_call)
