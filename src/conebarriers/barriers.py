@@ -3,8 +3,7 @@
 Each cone family gets a :class:`BarrierWorkspace` subclass that caches the
 intermediates shared by the oracles at a fixed interior point (the residual
 ``zeta`` of the defining inequality, power products, eigen or singular value
-decompositions, and the assembled Hessian factorization when the inverse has
-no closed form).  Workspaces are valid only for the point they were built at.
+decompositions).  Workspaces are valid only for the point they were built at.
 
 Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
 the family code reads blocks as views of packed float64 vectors and returns
@@ -16,16 +15,26 @@ Matrix-family Hessians act on the full (not symmetrized) matrix space, where
 they remain symmetric positive definite; applied to symmetric directions they
 agree with the lifted vector-cone Hessians.
 
-The hpower, hgeom, rpower, rgeom, logdet and rtdet families use closed-form
-inverse Hessian operators; log, linf and lspec assemble the dense Hessian and
-solve with a Cholesky factorization.  For logdet and rtdet the closed form
-first eliminates the ``u`` row, which fixes ``<grad zeta, y> = -zeta^2 x_u``.
-What is left is ``c kron(T, T)`` (``T = W^{-1}``) plus rank-one terms, and
-``kron(T, T)^{-1} = kron(W, W)``, so the solve is ``X -> W X W / c`` plus
-scalar corrections whose denominators are sums of positive terms.  It stays
-accurate next to the boundary, where the dense Hessian is too
-ill-conditioned to factor; the dense Hessians of these families serve as
-test oracles only.
+Every family has a closed-form inverse Hessian operator; none assembles or
+factors the dense Hessian, which serves as a test oracle only.
+- log, logdet, rtdet, hpower and hgeom first eliminate the ``u`` row, which
+  fixes ``<grad zeta, y> = -zeta^2 x_u``.  For logdet and rtdet what is
+  left is ``c kron(T, T)`` (``T = W^{-1}``) plus rank-one terms, and
+  ``kron(T, T)^{-1} = kron(W, W)``, so the solve is ``X -> W X W / c`` plus
+  scalar corrections; log is logdet with ``W = diag(w)``.  hpower and hgeom
+  are left with a diagonal minus a rank-one term, solved by
+  Sherman-Morrison.
+- rpower and rgeom use the form obtained by differentiating the
+  conjugate-gradient map.
+- linf is an arrowhead matrix, solved in O(d).  lspec rotates into the
+  singular basis ``U^T X V``, where the Hessian splits into the linf
+  arrowhead on the diagonal, 2x2 blocks on the off-diagonal pairs and
+  ``2 T`` on the complement of ``V``: four matrix products of size
+  ``d1 x d2`` instead of a factorization of order ``d1 d2 + 1``.
+
+The denominators are sums of positive terms, so the solves stay accurate
+next to the boundary, where the dense Hessian is too ill-conditioned to
+factor.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ from .cones import (
     pack,
     unpack,
 )
-from .linalg import cholesky_factor, cholesky_factor_solve, sym_eigen, svd
+from .linalg import sym_eigen, svd
+from .linalg import cholesky_factor  # noqa: F401  # wrapped by perfbench/tracer.py
 
 __all__ = [
     "BarrierWorkspace",
@@ -79,15 +89,15 @@ class BarrierWorkspace:
         self.x = x
         self._grad = None
         self._dense = None
-        self._factor = None
         self._prepare()
         if not self._interior():
             raise NotInteriorError(
                 f"point is not in the interior of the {cone.family.value} cone"
             )
 
-    # subclasses implement _prepare/_interior/value/_gradient/_hessian_apply
-    # on packed vectors; the public oracles below are the ConePoint edge
+    # subclasses implement _prepare/_interior/value/_gradient/_hessian_apply/
+    # _inverse_hessian_apply/_hessian_dense on packed vectors; the public
+    # oracles below are the ConePoint edge
 
     @property
     def point(self) -> ConePoint:
@@ -117,18 +127,14 @@ class BarrierWorkspace:
             self._dense = self._hessian_dense()
         return self._dense
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        if self._factor is None:
-            self._factor = cholesky_factor(self.hessian_dense())
-        return cholesky_factor_solve(self._factor, x)
-
 
 # --------------------------------------------------------------------------
 # logarithm cone and log-determinant cone
 # --------------------------------------------------------------------------
 
 class _LogCommon(BarrierWorkspace):
-    """Shared scalar algebra for the log families; `lam` is w or eig(W)."""
+    """Shared algebra for the log families: `lam` is w or eig(W), `wb` is
+    the point's vector w or matrix W, and `_wxw` applies X -> W X W."""
 
     def _scalars(self, u, v, lam):
         self.u, self.v, self.lam = u, v, lam
@@ -150,11 +156,29 @@ class _LogCommon(BarrierWorkspace):
         glam = -(self.v / self.zeta) / self.lam - 1.0 / self.lam
         return gu, gv, glam
 
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        # eliminate u; the W block left is c kron(T, T) (T = W^{-1}) plus
+        # rank-one terms, and c kron(T, T) is inverted by X -> W X W / c
+        xu, xv, xvec, xmat = self.layout.blocks(x)
+        xb = xvec if xmat is None else xmat
+        wb, v, zeta, sigma, d = self.wb, self.v, self.zeta, self.sigma, self.lam.size
+        a = 1.0 / zeta
+        c = 1.0 + v * a
+        tau = float(np.sum(wb * xb)) + v * d * xu
+        yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
+        yb = (self._wxw(xb) + (v * xu + a * yv) * wb) / c
+        yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
+        # join writes only the block the layout has
+        return self.layout.join(yu, yv, vec=yb, mat=yb)
+
 
 class _LogW(_LogCommon, family=ConeFamily.LOG):
     def _prepare(self):
-        u, v, w, _ = self.layout.blocks(self.x)
-        self._scalars(u, v, w)
+        u, v, self.wb, _ = self.layout.blocks(self.x)
+        self._scalars(u, v, self.wb)
+
+    def _wxw(self, xw: np.ndarray) -> np.ndarray:
+        return self.wb**2 * xw
 
     def _gradient(self) -> np.ndarray:
         return self.layout.join(*self._grad_scalars())
@@ -185,8 +209,8 @@ class _LogW(_LogCommon, family=ConeFamily.LOG):
 
 class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
     def _prepare(self):
-        u, v, _, self.W = self.layout.blocks(self.x)
-        self.eig = sym_eigen(self.W)
+        u, v, _, self.wb = self.layout.blocks(self.x)
+        self.eig = sym_eigen(self.wb)
         self._scalars(u, v, self.eig.values)
         self._inv = None
 
@@ -216,18 +240,8 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
         out_m = -dc * t + c * (tx @ t)
         return self.layout.join(out_u, out_v, mat=out_m)
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, xv, _, xm = self.layout.blocks(x)
-        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
-        # eliminate u, then invert c kron(T, T) by X -> W X W / c
-        w = self.W
-        a = 1.0 / zeta
-        c = 1.0 + v * a
-        tau = float(np.sum(w * xm)) + v * d * xu
-        yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
-        ym = (w @ xm @ w + (v * xu + a * yv) * w) / c
-        yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
-        return self.layout.join(yu, yv, mat=ym)
+    def _wxw(self, xm: np.ndarray) -> np.ndarray:
+        return self.wb @ xm @ self.wb
 
     def _hessian_dense(self) -> np.ndarray:
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
@@ -293,19 +307,19 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         return h
 
     def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        # closed form derived by differentiating the conjugate-gradient map
-        xu, _, z, _ = self.layout.blocks(x)
+        # eliminate u: <grad zeta, y> = -zeta^2 xu leaves D - (phi/zeta) a a^T
+        # with a = alpha/w and D^{-1} = w^2/k1, solved by Sherman-Morrison
+        # with a denominator k3 that is a sum of positive terms
+        xu, _, xw, _ = self.layout.blocks(x)
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
-        gu = 1.0 / zeta
-        k1 = 1.0 + alpha * phi * gu
-        k2 = float(np.sum(alpha**2 / k1))
-        k3 = 1.0 - phi * gu * k2
-        s = float(np.dot(z, alpha * w / k1))
-        out_u = (zeta**2 + (k2 / k3) * phi**2) * xu + (phi / k3) * s
-        out_w = (w**2 / k1) * z \
-            + (alpha * w / k1) * (phi / k3) * xu \
-            + (gu * phi / k3) * s * (alpha * w / k1)
-        return self.layout.join(out_u, vec=out_w)
+        a = alpha / w
+        k1 = 1.0 + (phi / zeta) * alpha
+        dinv_a = alpha * w / k1
+        dinv_b = (w**2 / k1) * (xw + (phi * xu) * a)
+        k3 = float(np.sum(alpha / k1)) + (1.0 - float(np.sum(alpha)))
+        yw = dinv_b + ((phi / zeta) * float(np.dot(a, dinv_b)) / k3) * dinv_a
+        yu = zeta**2 * xu + phi * float(np.dot(a, yw))
+        return self.layout.join(yu, vec=yw)
 
 
 class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
@@ -456,6 +470,23 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
 # infinity norm cone and spectral norm cone
 # --------------------------------------------------------------------------
 
+def _norm_arrowhead(u: float, s: np.ndarray, zi: np.ndarray, xu: float,
+                    xs: np.ndarray) -> tuple[float, np.ndarray]:
+    """u row of the linf Hessian, or of lspec's in the singular basis.
+
+    The Hessian restricted to ``(u, s)`` (``s = w`` or the singular values,
+    ``zi = u^2 - s^2``, ``q = u^2 + s^2``) is an arrowhead: diagonal
+    ``2 q / zi^2`` bordered by the u row ``-4 u s / zi^2``.  Its Schur
+    complement is the sum of positive terms ``(1 + sum(zi / q)) / u^2``.
+    Returns ``y_u`` and the coupling ``e = 2 u s / q``; the diagonal part
+    of the solution is ``zi^2 xs / (2 q) + e y_u``.
+    """
+    q = u * u + s * s
+    e = 2.0 * u * s / q
+    yu = u * u * (xu + float(np.dot(e, xs))) / (1.0 + float(np.sum(zi / q)))
+    return yu, e
+
+
 class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self):
         self.u, _, self.w, _ = self.layout.blocks(self.x)
@@ -491,6 +522,13 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         idx = np.arange(1, 1 + d)
         h[idx, idx] = 2.0 * (u**2 + w**2) / zi**2
         return h
+
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        xu, _, xw, _ = self.layout.blocks(x)
+        u, w, zi = self.u, self.w, self.zi
+        yu, e = _norm_arrowhead(u, w, zi, xu, xw)
+        yw = zi**2 * xw / (2.0 * (u * u + w * w)) + e * yu
+        return self.layout.join(yu, vec=yw)
 
 
 class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
@@ -551,6 +589,31 @@ class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
         block += 2.0 * np.einsum("ik,lj->ijlk", tw, tw).reshape(n - 1, n - 1)
         h[1:, 1:] = block
         return h
+
+    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+        # in the singular basis, Xt = U^T X V, the Hessian splits into the
+        # linf arrowhead on (u, diag Xt), 2x2 blocks
+        # (2 / (z_i z_j)) [[u^2, s_i s_j], [s_i s_j, u^2]] on (Xt_ij, Xt_ji),
+        # and X -> 2 T X on the complement X (I - V V^T) when d1 < d2
+        xu, _, _, xm = self.layout.blocks(x)
+        u, zi = self.u, self.zi
+        uu, s, vv = self.svd.U, self.svd.sigma, self.svd.V
+        ax = uu.T @ xm
+        xt = ax @ vv
+        u2 = u * u
+        ss = np.outer(s, s)
+        # u^2 - s_i s_j without cancellation; zi^2 / (2 q) on the diagonal
+        gap = 0.5 * (zi[:, None] + zi[None, :] + (s[:, None] - s[None, :])**2)
+        yt = np.outer(zi, zi) * (u2 * xt - ss * xt.T) / (2.0 * gap * (u2 + ss))
+        yu, e = _norm_arrowhead(u, s, zi, xu, np.diagonal(xt))
+        yt[np.diag_indices_from(yt)] += e * yu
+        if vv.shape[0] > vv.shape[1]:
+            # U [Yt V^T + diag(zi) U^T X (I - V V^T) / 2]
+            half = 0.5 * zi[:, None]
+            ym = uu @ ((yt - half * xt) @ vv.T + half * ax)
+        else:
+            ym = uu @ yt @ vv.T
+        return self.layout.join(yu, mat=ym)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Dense linear algebra used by the matrix cones and the generic solver.
 
 Thin wrappers over LAPACK (via numpy/scipy) that enforce the contracts the
-rest of the package relies on: validated symmetry, descending spectra, and a
-distinct error type when a Cholesky pivot fails so the caller can report that
-an iterate left the cone interior instead of crashing.  The Cholesky routines
-call ``dpotrf``/``dpotrs`` directly, the same routines, with the same
-arguments, as ``scipy.linalg.cho_factor``/``cho_solve``, without the
-wrappers' per-call validation overhead.
+rest of the package relies on: validated symmetry and descending spectra.
+:class:`NonPositiveDefiniteError` is the distinct error type of a failed
+positive-definiteness check; the generic Newton solver raises it for a
+non-finite local norm and reports that the iterate left the cone interior
+instead of crashing.
+
+No barrier solves with a Cholesky factorization: every family has a
+closed-form inverse Hessian.  The Cholesky routines solve with the dense
+Hessians, which serve as test oracles; they call ``dpotrf``/``dpotrs``
+directly, the same routines, with the same arguments, as
+``scipy.linalg.cho_factor``/``cho_solve``, without the wrappers' per-call
+validation overhead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ __all__ = [
     "sym_eigen",
     "svd",
     "cholesky_factor",
-    "cholesky_factor_solve",
     "cholesky_solve",
 ]
 
@@ -101,12 +106,7 @@ def cholesky_factor(h: np.ndarray) -> np.ndarray:
     return c
 
 
-def cholesky_factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``H x = b`` given ``c = cholesky_factor(H)``."""
-    x, _ = dpotrs(c, b, lower=1)
-    return x
-
-
 def cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``H x = b`` for symmetric positive definite ``H``."""
-    return cholesky_factor_solve(cholesky_factor(h), np.asarray(b, dtype=float))
+    x, _ = dpotrs(cholesky_factor(h), np.asarray(b, dtype=float), lower=1)
+    return x

@@ -181,7 +181,8 @@ def test_criterion_3_derivative_oracles():
 def test_criterion_4_closed_form_inverse_hessians():
     rng = np.random.default_rng(4)
     worst = 0.0
-    for family in ("hpower", "rpower", "hgeom", "logdet", "rtdet"):
+    for family in ("hpower", "rpower", "hgeom", "logdet", "rtdet", "log", "linf",
+                   "lspec"):
         for i in range(200):
             d = int(rng.integers(2, 31))
             a = rng.uniform(0.05, 1.0, d)
@@ -192,6 +193,14 @@ def test_criterion_4_closed_form_inverse_hessians():
                 cone = ConeDescriptor.rpower(int(rng.integers(1, 6)), a)
             elif family == "hgeom":
                 cone = ConeDescriptor.hgeom(d)
+            elif family == "log":
+                cone = ConeDescriptor.log(d)
+            elif family == "linf":
+                cone = ConeDescriptor.linf(d)
+            elif family == "lspec":
+                # the dense oracle has order d1 d2 + 1
+                d1 = d // 4 + 1
+                cone = ConeDescriptor.lspec(d1, d1 + int(rng.integers(0, 5)))
             else:
                 # the dense oracle has order d^2 + 2
                 cone = random_cone(family, rng, d=d // 2 + 1)

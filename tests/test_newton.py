@@ -20,6 +20,7 @@ from conebarriers import (
     sample_dual_point,
     unpack,
 )
+from conebarriers import barriers, linalg
 from conftest import ALL_FAMILIES, interior_point, random_cone
 
 
@@ -214,6 +215,21 @@ class TestGenericSolver:
         assert all(np.isfinite(trace.lambdas))
         # the best iterate seen is returned, and it is interior
         assert in_interior(cone, neg(cone, res.g_star))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_no_cholesky_factorization(self, family, rng, monkeypatch):
+        # every family solves with a closed-form inverse Hessian
+        def refuse(*args, **kwargs):
+            raise AssertionError("Cholesky factorization called")
+
+        monkeypatch.setattr(barriers, "cholesky_factor", refuse)
+        monkeypatch.setattr(linalg, "dpotrf", refuse)
+        for o in (1e-5, 1e-1):
+            cone = random_cone(family, rng)
+            r = sample_dual_point(cone, o, rng)
+            _, trace = generic_conjugate_gradient(cone, r)
+            assert trace.status in (NewtonStatus.CONVERGED, NewtonStatus.STALLED)
+            assert trace.iterations > 0
 
     @pytest.mark.parametrize("family", ["logdet", "rtdet", "lspec"])
     def test_matrix_cones_supported(self, family, rng):
