@@ -103,17 +103,21 @@ class TestRunGrid:
         assert a == b
         assert render_table(a, "csv") == render_table(b, "csv")
 
-    def test_matches_reviewed_golden_file(self):
+    @pytest.mark.parametrize("golden, cones, d", [
+        ("small_grid_seed7.csv", ("log", "hpower", "linf"), 6),
+        ("all_families_seed7.csv", tuple(ALL_FAMILIES), 4),
+    ], ids=["small_grid", "all_families"])
+    def test_matches_reviewed_golden_file(self, golden, cones, d):
         # pins the sampling protocol, solver behavior, and CSV formatting
-        # end to end; regenerate tests/data/small_grid_seed7.csv from this
-        # config after an intentional protocol change
+        # end to end; regenerate tests/data/<golden> from this config after
+        # an intentional protocol change
         import pathlib
 
-        cfg = ExperimentConfig(cones=("log", "hpower", "linf"), dims=(6,),
-                               offsets=(1e-3, 1e-1), trials=3, seed=7)
+        cfg = ExperimentConfig(cones=cones, dims=(d,), offsets=(1e-3, 1e-1),
+                               trials=3, seed=7)
         text = render_table(run_grid(cfg), "csv")
-        golden = pathlib.Path(__file__).parent / "data" / "small_grid_seed7.csv"
-        assert text == golden.read_text()
+        path = pathlib.Path(__file__).parent / "data" / golden
+        assert text == path.read_text()
 
     def test_subset_independence(self):
         # a cell's statistics do not depend on which other cells run
