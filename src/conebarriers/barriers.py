@@ -11,9 +11,13 @@ packed vectors.  :class:`ConePoint` is converted only at the API edge, in
 the base class: a workspace built from a ``ConePoint``, or an oracle called
 with one, returns ``ConePoint`` results.
 
-Matrix-family Hessians act on the full (not symmetrized) matrix space, where
-they remain symmetric positive definite; applied to symmetric directions they
-agree with the lifted vector-cone Hessians.
+A matrix family's workspace is its vector family's with a lift mixin
+(:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
+spectrum in place of the vector block and rotates the gradient back, so only
+the Hessians are written per matrix family.  They act on the full (not
+symmetrized) matrix space, where they remain symmetric positive definite;
+applied to symmetric directions they agree with the lifted vector-cone
+Hessians.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
 factors the dense Hessian, which serves as a test oracle only.
@@ -38,6 +42,8 @@ factor.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -89,15 +95,31 @@ class BarrierWorkspace:
         self.x = x
         self._grad = None
         self._dense = None
-        self._prepare()
+        epi, persp, vec, mat = self.layout.blocks(x)
+        # the point's vector or matrix block
+        self.block = vec if mat is None else mat
+        self._prepare(epi, persp, self._spectrum(self.block))
         if not self._interior():
             raise NotInteriorError(
                 f"point is not in the interior of the {cone.family.value} cone"
             )
 
-    # subclasses implement _prepare/_interior/value/_gradient/_hessian_apply/
+    # subclasses implement _prepare(epi, persp, w) (w the vector block or
+    # spectrum)/_interior/value/_grad_parts/_hessian_apply/
     # _inverse_hessian_apply/_hessian_dense on packed vectors; the public
     # oracles below are the ConePoint edge
+
+    def _spectrum(self, block: np.ndarray) -> np.ndarray:
+        return block
+
+    def _lift(self, g: np.ndarray) -> np.ndarray:
+        return g
+
+    def _gradient(self) -> np.ndarray:
+        gu, gv, gw = self._grad_parts()
+        g = self._lift(gw)
+        # join writes only the block the layout has
+        return self.layout.join(gu, gv, vec=g, mat=g)
 
     @property
     def point(self) -> ConePoint:
@@ -128,75 +150,97 @@ class BarrierWorkspace:
         return self._dense
 
 
+class _EigenLift:
+    """Runs the vector workspace on the eigenvalues ``W = U diag(lam) U^T``."""
+
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        self.eig = sym_eigen(mat)
+        return self.eig.values
+
+    def _lift(self, g: np.ndarray) -> np.ndarray:
+        u = self.eig.vectors
+        return (u * g) @ u.T
+
+    @cached_property
+    def _winv(self) -> np.ndarray:
+        u = self.eig.vectors
+        return (u / self.eig.values) @ u.T
+
+
+class _SingularLift:
+    """Runs the vector workspace on the singular values
+    ``W = U diag(sigma) V^T``."""
+
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        self.svd = svd(mat)
+        return self.svd.sigma
+
+    def _lift(self, g: np.ndarray) -> np.ndarray:
+        return (self.svd.U * g) @ self.svd.V.T
+
+
 # --------------------------------------------------------------------------
 # logarithm cone and log-determinant cone
 # --------------------------------------------------------------------------
 
-class _LogCommon(BarrierWorkspace):
-    """Shared algebra for the log families: `lam` is w or eig(W), `wb` is
-    the point's vector w or matrix W, and `_wxw` applies X -> W X W."""
+class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
+    """`w` is the vector block or eig(W), `block` is w or W, and `_wxw`
+    applies X -> W X W."""
 
-    def _scalars(self, u, v, lam):
-        self.u, self.v, self.lam = u, v, lam
-        self.slog = float(np.sum(np.log(lam))) if np.all(lam > 0.0) else np.nan
-        self.phi = self.slog - lam.size * np.log(v) if v > 0.0 else np.nan
+    def _prepare(self, u, v, w):
+        self.u, self.v, self.w = u, v, w
+        self.slog = float(np.sum(np.log(w))) if np.all(w > 0.0) else np.nan
+        self.phi = self.slog - w.size * np.log(v) if v > 0.0 else np.nan
         self.zeta = v * self.phi - u if v > 0.0 else np.nan
-        self.sigma = self.phi - lam.size
+        self.sigma = self.phi - w.size
 
     def _interior(self) -> bool:
-        return (self.v > 0.0 and np.all(self.lam > 0.0)
+        return (self.v > 0.0 and np.all(self.w > 0.0)
                 and np.isfinite(self.zeta) and self.zeta > 0.0)
 
     def value(self) -> float:
         return -np.log(self.zeta) - np.log(self.v) - self.slog
 
-    def _grad_scalars(self):
+    def _grad_parts(self):
         gu = 1.0 / self.zeta
         gv = -self.sigma / self.zeta - 1.0 / self.v
-        glam = -(self.v / self.zeta) / self.lam - 1.0 / self.lam
-        return gu, gv, glam
+        gw = -(self.v / self.zeta) / self.w - 1.0 / self.w
+        return gu, gv, gw
 
     def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         # eliminate u; the W block left is c kron(T, T) (T = W^{-1}) plus
         # rank-one terms, and c kron(T, T) is inverted by X -> W X W / c
         xu, xv, xvec, xmat = self.layout.blocks(x)
         xb = xvec if xmat is None else xmat
-        wb, v, zeta, sigma, d = self.wb, self.v, self.zeta, self.sigma, self.lam.size
+        wb, v, zeta, sigma, d = self.block, self.v, self.zeta, self.sigma, self.w.size
         a = 1.0 / zeta
         c = 1.0 + v * a
         tau = float(np.sum(wb * xb)) + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
         yb = (self._wxw(xb) + (v * xu + a * yv) * wb) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
-        # join writes only the block the layout has
         return self.layout.join(yu, yv, vec=yb, mat=yb)
 
-
-class _LogW(_LogCommon, family=ConeFamily.LOG):
-    def _prepare(self):
-        u, v, self.wb, _ = self.layout.blocks(self.x)
-        self._scalars(u, v, self.wb)
-
     def _wxw(self, xw: np.ndarray) -> np.ndarray:
-        return self.wb**2 * xw
+        return self.w**2 * xw
 
-    def _gradient(self) -> np.ndarray:
-        return self.layout.join(*self._grad_scalars())
+    def _uv_rows(self, xu, xv, tr):
+        # d(zeta) and the u, v rows of H x, with tr = <W^{-1}, X>
+        v, zeta, sigma = self.v, self.zeta, self.sigma
+        dzeta = -xu + sigma * xv + v * tr
+        dsigma = tr - self.w.size * xv / v
+        return dzeta, -dzeta / zeta**2, -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, xv, xw, _ = self.layout.blocks(x)
-        v, w, zeta, sigma = self.v, self.lam, self.zeta, self.sigma
-        sw = float(np.sum(xw / w))
-        dzeta = -xu + sigma * xv + v * sw
-        dsigma = sw - w.size * xv / v
-        out_u = -dzeta / zeta**2
-        out_v = -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
+        v, w, zeta = self.v, self.w, self.zeta
+        dzeta, out_u, out_v = self._uv_rows(xu, xv, float(np.sum(xw / w)))
         out_w = (-(xv / zeta - v * dzeta / zeta**2) / w
                  + (v / zeta) * xw / w**2 + xw / w**2)
         return self.layout.join(out_u, out_v, out_w)
 
     def _hessian_dense(self) -> np.ndarray:
-        v, w, zeta = self.v, self.lam, self.zeta
+        v, w, zeta = self.v, self.w, self.zeta
         xi = np.concatenate(([-1.0, self.sigma], v / w))
         h = np.outer(xi, xi) / zeta**2
         h[1, 1] += w.size / (v * zeta) + 1.0 / v**2
@@ -207,45 +251,24 @@ class _LogW(_LogCommon, family=ConeFamily.LOG):
         return h
 
 
-class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
-    def _prepare(self):
-        u, v, _, self.wb = self.layout.blocks(self.x)
-        self.eig = sym_eigen(self.wb)
-        self._scalars(u, v, self.eig.values)
-        self._inv = None
-
-    def _winv(self) -> np.ndarray:
-        if self._inv is None:
-            u = self.eig.vectors
-            self._inv = (u / self.lam) @ u.T
-        return self._inv
-
-    def _gradient(self) -> np.ndarray:
-        gu, gv, glam = self._grad_scalars()
-        u = self.eig.vectors
-        return self.layout.join(gu, gv, mat=(u * glam) @ u.T)
-
+class _LogDetW(_EigenLift, _LogW, family=ConeFamily.LOGDET):
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, xv, _, xm = self.layout.blocks(x)
-        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
-        t = self._winv()
+        v, zeta = self.v, self.zeta
+        t = self._winv
         tx = t @ xm
-        tr_tx = float(np.trace(tx))
-        dzeta = -xu + sigma * xv + v * tr_tx
-        dsigma = tr_tx - d * xv / v
-        out_u = -dzeta / zeta**2
-        out_v = -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
+        dzeta, out_u, out_v = self._uv_rows(xu, xv, float(np.trace(tx)))
         c = v / zeta + 1.0
         dc = xv / zeta - v * dzeta / zeta**2
         out_m = -dc * t + c * (tx @ t)
         return self.layout.join(out_u, out_v, mat=out_m)
 
     def _wxw(self, xm: np.ndarray) -> np.ndarray:
-        return self.wb @ xm @ self.wb
+        return self.block @ xm @ self.block
 
     def _hessian_dense(self) -> np.ndarray:
-        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.lam.size
-        t = self._winv()
+        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.w.size
+        t = self._winv
         vt = t.ravel()
         n = 2 + d * d
         h = np.empty((n, n))
@@ -265,15 +288,22 @@ class _LogDetW(_LogCommon, family=ConeFamily.LOGDET):
 # --------------------------------------------------------------------------
 
 class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
-    def _prepare(self):
-        self.u, _, self.w, _ = self.layout.blocks(self.x)
+    def _prepare(self, u, _, w):
+        self.u, self.w = u, w
         self.alpha = self.cone.alpha
-        if np.all(self.w > 0.0):
-            self.lw = np.log(self.w)
-            self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
-            self.zeta = self.phi - self.u
+        if np.all(w > 0.0):
+            self.lw = np.log(w)
+            self.phi = float(np.exp(self._log_phi()))
+            self.zeta = self.phi - u
         else:
             self.zeta = np.nan
+
+    def _log_phi(self):
+        return np.dot(self.alpha, self.lw)
+
+    def _phi_share(self) -> np.ndarray:
+        # phi's part of the w gradient, negated
+        return (self.phi / self.zeta) * self.alpha / self.w
 
     def _interior(self) -> bool:
         return np.all(self.w > 0.0) and self.zeta > 0.0
@@ -281,10 +311,8 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def value(self) -> float:
         return -np.log(self.zeta) - float(np.sum(self.lw))
 
-    def _gradient(self) -> np.ndarray:
-        gu = 1.0 / self.zeta
-        gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
-        return self.layout.join(gu, vec=gw)
+    def _grad_parts(self):
+        return 1.0 / self.zeta, None, -self._phi_share() - 1.0 / self.w
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, xw, _ = self.layout.blocks(x)
@@ -322,41 +350,19 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         return self.layout.join(yu, vec=yw)
 
 
-class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
-    def _prepare(self):
-        self.u, _, _, self.W = self.layout.blocks(self.x)
-        self.eig = sym_eigen(self.W)
-        self.lam = self.eig.values
-        if np.all(self.lam > 0.0):
-            self.llam = np.log(self.lam)
-            self.phi = float(np.exp(np.mean(self.llam)))
-            self.zeta = self.phi - self.u
-        else:
-            self.zeta = np.nan
-        self._inv = None
+class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
+    # equal weights in rtdet's own rounding, which differs from hgeom's
+    # weighted forms in the last bit
+    def _log_phi(self):
+        return np.mean(self.lw)
 
-    def _interior(self) -> bool:
-        return np.all(self.lam > 0.0) and self.zeta > 0.0
-
-    def _winv(self) -> np.ndarray:
-        if self._inv is None:
-            u = self.eig.vectors
-            self._inv = (u / self.lam) @ u.T
-        return self._inv
-
-    def value(self) -> float:
-        return -np.log(self.zeta) - float(np.sum(self.llam))
-
-    def _gradient(self) -> np.ndarray:
-        d = self.lam.size
-        glam = -(self.phi / d) / (self.zeta * self.lam) - 1.0 / self.lam
-        u = self.eig.vectors
-        return self.layout.join(1.0 / self.zeta, mat=(u * glam) @ u.T)
+    def _phi_share(self) -> np.ndarray:
+        return (self.phi / self.w.size) / (self.zeta * self.w)
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, _, xm = self.layout.blocks(x)
-        phi, zeta, d = self.phi, self.zeta, self.lam.size
-        t = self._winv()
+        phi, zeta, d = self.phi, self.zeta, self.w.size
+        t = self._winv
         tx = t @ xm
         dphi = (phi / d) * float(np.trace(tx))
         dzeta = -xu + dphi
@@ -368,9 +374,9 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
 
     def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, _, xm = self.layout.blocks(x)
-        phi, zeta, d = self.phi, self.zeta, self.lam.size
+        phi, zeta, d = self.phi, self.zeta, self.w.size
         # eliminate u, then invert c kron(T, T) by X -> W X W / c
-        w = self.W
+        w = self.block
         a = 1.0 / zeta
         c = 1.0 + a * phi / d
         beta = a * phi / d**2
@@ -381,16 +387,15 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
         return self.layout.join(yu, mat=ym)
 
     def _hessian_dense(self) -> np.ndarray:
-        phi, zeta, d = self.phi, self.zeta, self.lam.size
-        u = self.u
-        t = self._winv()
+        phi, zeta, d = self.phi, self.zeta, self.w.size
+        t = self._winv
         vt = t.ravel()
         n = 1 + d * d
         h = np.empty((n, n))
         h[0, 0] = 1.0 / zeta**2
         h[0, 1:] = h[1:, 0] = -(phi / d) * vt / zeta**2
         # W block couples through d(phi) = (phi/d) tr(T X) and dT = -T X T
-        h[1:, 1:] = (phi * u / (d**2 * zeta**2)) * np.outer(vt, vt) \
+        h[1:, 1:] = (phi * self.u / (d**2 * zeta**2)) * np.outer(vt, vt) \
             + (phi / (d * zeta) + 1.0) * np.kron(t, t)
         return h
 
@@ -401,13 +406,12 @@ class _RtDetW(BarrierWorkspace, family=ConeFamily.RTDET):
 
 class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
     # the radial block is read and written as a vector, also for rgeom
-    def _prepare(self):
-        self.u = self.x[self.layout.epi]
-        self.w = self.x[self.layout.vec]
+    def _prepare(self, u, _, w):
+        self.u, self.w = np.atleast_1d(u), w
         self.alpha = self.cone.alpha
         self.nrm2 = float(np.dot(self.u, self.u))
-        if np.all(self.w > 0.0):
-            self.lw = np.log(self.w)
+        if np.all(w > 0.0):
+            self.lw = np.log(w)
             self.phi = float(np.exp(2.0 * np.dot(self.alpha, self.lw)))
             self.zeta = self.phi - self.nrm2
         else:
@@ -423,8 +427,8 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         return (-2.0 * self.alpha * self.phi / (self.w * self.zeta)
                 - (1.0 - self.alpha) / self.w)
 
-    def _gradient(self) -> np.ndarray:
-        return self.layout.join(2.0 * self.u / self.zeta, vec=self._gw())
+    def _grad_parts(self):
+        return 2.0 * self.u / self.zeta, None, self._gw()
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, xw = x[self.layout.epi], x[self.layout.vec]
@@ -488,9 +492,9 @@ def _norm_arrowhead(u: float, s: np.ndarray, zi: np.ndarray, xu: float,
 
 
 class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
-    def _prepare(self):
-        self.u, _, self.w, _ = self.layout.blocks(self.x)
-        self.zi = self.u**2 - self.w**2
+    def _prepare(self, u, _, w):
+        self.u, self.w = u, w
+        self.zi = u**2 - w**2
 
     def _interior(self) -> bool:
         return self.u > 0.0 and np.all(self.zi > 0.0)
@@ -498,10 +502,10 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def value(self) -> float:
         return -float(np.sum(np.log(self.zi))) + (self.w.size - 1) * np.log(self.u)
 
-    def _gradient(self) -> np.ndarray:
+    def _grad_parts(self):
         d = self.w.size
         gu = (d - 1) / self.u - 2.0 * self.u * float(np.sum(1.0 / self.zi))
-        return self.layout.join(gu, vec=2.0 * self.w / self.zi)
+        return gu, None, 2.0 * self.w / self.zi
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, xw, _ = self.layout.blocks(x)
@@ -531,57 +535,32 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         return self.layout.join(yu, vec=yw)
 
 
-class _LSpecW(BarrierWorkspace, family=ConeFamily.LSPEC):
-    def _prepare(self):
-        self.u, _, _, self.W = self.layout.blocks(self.x)
-        self.svd = svd(self.W)
-        self.zi = self.u**2 - self.svd.sigma**2
-
-    def _interior(self) -> bool:
-        return self.u > 0.0 and np.all(self.zi > 0.0)
-
-    def value(self) -> float:
-        d1 = self.svd.sigma.size
-        return -float(np.sum(np.log(self.zi))) + (d1 - 1) * np.log(self.u)
-
-    def _t(self) -> np.ndarray:
-        # inverse of u^2 I - W W^T in the left singular basis
-        u = self.svd.U
-        return (u / self.zi) @ u.T
-
-    def _gradient(self) -> np.ndarray:
-        d1 = self.svd.sigma.size
-        gu = (d1 - 1) / self.u - 2.0 * self.u * float(np.sum(1.0 / self.zi))
-        gr = 2.0 * self.svd.sigma / self.zi
-        gm = (self.svd.U * gr) @ self.svd.V.T
-        return self.layout.join(gu, mat=gm)
+class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
+    def _hess_parts(self):
+        # T = (u^2 I - W W^T)^{-1} from the left singular basis, the u-u
+        # entry of the Hessian, T^2 W and T W
+        uu, zi, u = self.svd.U, self.zi, self.u
+        t = (uu / zi) @ uu.T
+        huu = (-2.0 * float(np.sum(1.0 / zi)) - (self.w.size - 1) / u**2
+               + 4.0 * u**2 * float(np.sum(1.0 / zi**2)))
+        return t, huu, (uu * (self.w / zi**2)) @ self.svd.V.T, t @ self.block
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, _, xm = self.layout.blocks(x)
-        u, w = self.u, self.W
-        d1 = self.svd.sigma.size
-        t = self._t()
-        tr_t = float(np.sum(1.0 / self.zi))
-        tr_t2 = float(np.sum(1.0 / self.zi**2))
-        t2w = (self.svd.U * (self.svd.sigma / self.zi**2)) @ self.svd.V.T
-        out_u = (-2.0 * tr_t - (d1 - 1) / u**2 + 4.0 * u**2 * tr_t2) * xu \
-            - 4.0 * u * float(np.sum(t2w * xm))
-        tw = t @ w
+        u, w = self.u, self.block
+        t, huu, t2w, tw = self._hess_parts()
+        out_u = huu * xu - 4.0 * u * float(np.sum(t2w * xm))
         out_m = -4.0 * u * xu * (t @ tw) \
             + 2.0 * t @ (xm @ w.T + w @ xm.T) @ tw + 2.0 * t @ xm
         return self.layout.join(out_u, mat=out_m)
 
     def _hessian_dense(self) -> np.ndarray:
-        u, w = self.u, self.W
+        u, w = self.u, self.block
         d1, d2 = w.shape
-        t = self._t()
-        tr_t = float(np.sum(1.0 / self.zi))
-        tr_t2 = float(np.sum(1.0 / self.zi**2))
-        t2w = (self.svd.U * (self.svd.sigma / self.zi**2)) @ self.svd.V.T
-        tw = t @ w
+        t, huu, t2w, tw = self._hess_parts()
         n = 1 + d1 * d2
         h = np.empty((n, n))
-        h[0, 0] = -2.0 * tr_t - (d1 - 1) / u**2 + 4.0 * u**2 * tr_t2
+        h[0, 0] = huu
         h[0, 1:] = h[1:, 0] = -4.0 * u * t2w.ravel()
         # row-major operator forms of X -> 2T X (W^T T W), 2(TW) X^T (TW), 2T X
         wtw = w.T @ tw

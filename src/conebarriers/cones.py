@@ -11,11 +11,17 @@ Nine cone families are supported.  Vector families:
 * ``rgeom``   — ``rpower`` with ``d1 = 1`` and equal weights.
 * ``linf``    — epigraph of the infinity norm, ``u >= max|w_i|``.
 
-Matrix families (unitarily invariant lifts of the above):
+Matrix families, the spectral lifts of ``log``, ``hgeom`` and ``linf``:
 
 * ``logdet``  — hypograph of the perspective of log-determinant.
 * ``rtdet``   — hypograph of the d-th-root determinant.
 * ``lspec``   — epigraph of the spectral norm of a ``d1 x d2`` matrix.
+
+Each family's rules (validation, block shapes, ``nu``, weights, canonical
+interior point, membership) are one :class:`FamilyRules` record in
+``RULES``.  A matrix family's record is its vector family's with a ``lift``
+that runs the rules on the eigenvalues or singular values of the matrix
+block; the oracles and the sampler lift the same way.
 
 A single :class:`ConePoint` container holds both primal and dual points.
 Slots pair positionally under the ambient inner product: a primal
@@ -30,9 +36,10 @@ workspaces read and write blocks through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -68,11 +75,6 @@ class ConeFamily(str, Enum):
     RGEOM = "rgeom"
     LINF = "linf"
     LSPEC = "lspec"
-
-
-# Families whose vector/matrix block must be strictly positive (or PD).
-_MATRIX_FAMILIES = (ConeFamily.LOGDET, ConeFamily.RTDET, ConeFamily.LSPEC)
-_RADIAL_FAMILIES = (ConeFamily.RPOWER, ConeFamily.RGEOM)
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,129 @@ def _equal_weights(n: int) -> np.ndarray:
     return alpha
 
 
+# --------------------------------------------------------------------------
+# membership on the vector block, or on a matrix block's spectrum
+# --------------------------------------------------------------------------
+
+def _scalar(epi) -> float:
+    return float(epi.reshape(())) if isinstance(epi, np.ndarray) else float(epi)
+
+
+def _norm(epi) -> float:
+    return float(np.linalg.norm(np.atleast_1d(epi)))
+
+
+def _log_primal(cone, epi, v, w) -> bool:
+    return (v > 0.0 and np.all(w > 0.0)
+            and _scalar(epi) < v * float(np.sum(np.log(w)) - w.size * np.log(v)))
+
+
+def _log_dual(cone, epi, q, r) -> bool:
+    p = _scalar(epi)
+    return p < 0.0 and np.all(r > 0.0) and q > p * float(np.sum(np.log(-r / p))) + p * r.size
+
+
+def power_cap(alpha, r) -> float:
+    # prod (r_i / alpha_i)^alpha_i, the dual cone's bound
+    return float(np.exp(np.dot(alpha, np.log(r / alpha))))
+
+
+def _power_primal(cone, epi, persp, w) -> bool:
+    return np.all(w > 0.0) and _scalar(epi) < float(np.exp(np.dot(cone.alpha, np.log(w))))
+
+
+def _power_dual(cone, epi, persp, r) -> bool:
+    p = _scalar(epi)
+    return p < 0.0 and np.all(r > 0.0) and -p < power_cap(cone.alpha, r)
+
+
+def _radial_primal(cone, epi, persp, w) -> bool:
+    return np.all(w > 0.0) and _norm(epi) < float(np.exp(np.dot(cone.alpha, np.log(w))))
+
+
+def _radial_dual(cone, epi, persp, r) -> bool:
+    return np.all(r > 0.0) and _norm(epi) < power_cap(cone.alpha, r)
+
+
+def _linf_primal(cone, epi, persp, w) -> bool:
+    return _scalar(epi) > float(np.max(np.abs(w)))
+
+
+def _linf_dual(cone, epi, persp, r) -> bool:
+    return _scalar(epi) > float(np.sum(np.abs(r)))
+
+
+# --------------------------------------------------------------------------
+# one record per family
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FamilyRules:
+    """Everything family-specific about a cone descriptor and its points.
+
+    ``vector`` is the vector family whose rules run; a matrix family's
+    ``lift`` runs them on the eigenvalues of a symmetric ``W = U diag(lam)
+    U^T`` (``"eig"``) or the singular values of a ``d1 x d2`` (``d1 <= d2``)
+    ``W = U diag(sigma) V^T`` (``"svd"``), and a vector result ``g``
+    returns as ``U diag(g) V^T``.  ``n``, the length of the vector block or
+    spectrum, is the field ``size``; ``dims(n)`` are the dimensions of the
+    grid's cone of size ``n``; ``check`` is a ``(predicate, message)`` on
+    further dimensions.  ``weights``: ``"given"`` (``powers`` of length
+    ``n``), ``"equal"`` (``1/n``) or ``None``.  ``radial``: the leading block
+    has length ``d1``.  ``persp`` adds a block and one to ``nu = n + 1``.
+    ``canonical`` is the canonical interior point's ``(epi, persp, w_i)``.
+    ``primal`` and ``dual`` test strict membership from ``(cone, epi,
+    persp, w)``, ``w`` the vector block or spectrum.
+    """
+
+    vector: ConeFamily
+    size: str
+    dims: Callable[[int], dict]
+    primal: Callable[..., bool]
+    dual: Callable[..., bool]
+    canonical: tuple
+    weights: str | None = None
+    persp: bool = False
+    radial: bool = False
+    check: tuple | None = None
+    lift: str | None = None
+
+
+def _dims_d(n: int) -> dict:
+    return {"d": n}
+
+
+def _dims_square(n: int) -> dict:
+    return {"d1": n, "d2": n}
+
+
+_LOG = FamilyRules(ConeFamily.LOG, "d", _dims_d, _log_primal, _log_dual,
+                   (-1.0, 1.0, 1.0), persp=True)
+_HPOWER = FamilyRules(ConeFamily.HPOWER, "d", _dims_d, _power_primal, _power_dual,
+                      (-1.0, None, 1.0), weights="given")
+_HGEOM = replace(_HPOWER, vector=ConeFamily.HGEOM, weights="equal")
+_RPOWER = FamilyRules(ConeFamily.RPOWER, "d2", _dims_square, _radial_primal,
+                      _radial_dual, (0.0, None, 1.0), weights="given", radial=True,
+                      check=(lambda c: c.d1 >= 1, "d1 must be >= 1"))
+_LINF = FamilyRules(ConeFamily.LINF, "d", _dims_d, _linf_primal, _linf_dual,
+                    (1.0, None, 0.0))
+
+RULES: dict[ConeFamily, FamilyRules] = {
+    ConeFamily.LOG: _LOG,
+    ConeFamily.LOGDET: replace(_LOG, lift="eig"),
+    ConeFamily.HPOWER: _HPOWER,
+    ConeFamily.HGEOM: _HGEOM,
+    ConeFamily.RTDET: replace(_HGEOM, lift="eig"),
+    ConeFamily.RPOWER: _RPOWER,
+    ConeFamily.RGEOM: replace(_RPOWER, vector=ConeFamily.RGEOM, weights="equal",
+                              radial=False, dims=lambda n: {"d1": 1, "d2": n},
+                              check=(lambda c: c.d1 == 1, "d1 is fixed at 1")),
+    ConeFamily.LINF: _LINF,
+    ConeFamily.LSPEC: replace(_LINF, size="d1", dims=_dims_square, lift="svd",
+                              check=(lambda c: c.d1 <= c.d2, "need 1 <= d1 <= d2")),
+}
+
+
 @dataclass(frozen=True)
 class ConeDescriptor:
     """Identifies a cone family together with its dimensions and parameters.
@@ -183,40 +308,22 @@ class ConeDescriptor:
     layout: PackedLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        if fam in (ConeFamily.LOG, ConeFamily.LOGDET, ConeFamily.HGEOM,
-                   ConeFamily.RTDET, ConeFamily.LINF):
-            if self.d < 1:
-                raise ValueError(f"{fam.value}: d must be >= 1")
-            if self.powers is not None:
-                raise ValueError(f"{fam.value}: takes no power parameters")
-        elif fam is ConeFamily.HPOWER:
+        object.__setattr__(self, "family", ConeFamily(self.family))
+        rules, name = self.rules, self.family.value
+        n = self.spectrum_dim
+        if rules.weights == "given":
             if self.powers is None:
-                raise ValueError("hpower: power parameters required")
-            if self.d != self.powers.d:
-                raise ValueError("hpower: d must equal len(alpha)")
-        elif fam is ConeFamily.RPOWER:
-            if self.powers is None:
-                raise ValueError("rpower: power parameters required")
-            if self.d1 < 1 or self.d2 < 1:
-                raise ValueError("rpower: d1, d2 must be >= 1")
-            if self.d2 != self.powers.d:
-                raise ValueError("rpower: d2 must equal len(alpha)")
-        elif fam is ConeFamily.RGEOM:
-            if self.d2 < 1:
-                raise ValueError("rgeom: d2 must be >= 1")
-            if self.d1 != 1:
-                raise ValueError("rgeom: d1 is fixed at 1")
-            if self.powers is not None:
-                raise ValueError("rgeom: weights are implicitly equal")
-        elif fam is ConeFamily.LSPEC:
-            if not (1 <= self.d1 <= self.d2):
-                raise ValueError("lspec: need 1 <= d1 <= d2")
-        else:  # pragma: no cover - exhaustive over the enum
-            raise ValueError(f"unknown family {fam!r}")
+                raise ValueError(f"{name}: power parameters required")
+            if n != self.powers.d:
+                raise ValueError(f"{name}: {rules.size} must equal len(alpha)")
+        elif self.powers is not None:
+            raise ValueError(f"{name}: takes no power parameters")
+        if n < 1:
+            raise ValueError(f"{name}: {rules.size} must be >= 1")
+        if rules.check is not None and not rules.check[0](self):
+            raise ValueError(f"{name}: {rules.check[1]}")
         object.__setattr__(self, "layout", _packed_layout(
-            self.epi_dim, fam is ConeFamily.RPOWER, self.has_persp,
-            self.vec_dim, self.mat_shape))
+            self.epi_dim, rules.radial, rules.persp, self.vec_dim, self.mat_shape))
 
     # ---------------------------------------------------------------- ctors
     @classmethod
@@ -259,55 +366,50 @@ class ConeDescriptor:
 
     # ----------------------------------------------------------- properties
     @property
+    def rules(self) -> FamilyRules:
+        return RULES[self.family]
+
+    @property
+    def spectrum_dim(self) -> int:
+        """Length of the vector block, or of the matrix block's spectrum."""
+        return getattr(self, self.rules.size)
+
+    @property
     def nu(self) -> float:
         """Barrier parameter of the canonical barrier for this cone."""
-        fam = self.family
-        if fam in (ConeFamily.LOG, ConeFamily.LOGDET):
-            return float(2 + self.d)
-        if fam in (ConeFamily.HPOWER, ConeFamily.HGEOM, ConeFamily.RTDET,
-                   ConeFamily.LINF):
-            return float(1 + self.d)
-        if fam in _RADIAL_FAMILIES:
-            return float(1 + self.d2)
-        return float(1 + self.d1)  # lspec
+        return float(self.spectrum_dim + (2 if self.has_persp else 1))
 
     @property
     def alpha(self) -> np.ndarray:
         """Read-only simplex weights, materializing the implicit equal weights."""
-        fam = self.family
-        if fam is ConeFamily.HPOWER or fam is ConeFamily.RPOWER:
+        weights = self.rules.weights
+        if weights == "given":
             return self.powers.alpha
-        if fam is ConeFamily.HGEOM or fam is ConeFamily.RGEOM:
-            return _equal_weights(self.vec_dim)
-        raise AttributeError(f"{fam.value} has no power parameters")
+        if weights == "equal":
+            return _equal_weights(self.spectrum_dim)
+        raise AttributeError(f"{self.family.value} has no power parameters")
 
     @property
     def vec_dim(self) -> int:
         """Length of the vector block (0 for matrix families)."""
-        fam = self.family
-        if fam in _MATRIX_FAMILIES:
-            return 0
-        if fam in _RADIAL_FAMILIES:
-            return self.d2
-        return self.d
+        return 0 if self.rules.lift else self.spectrum_dim
 
     @property
     def mat_shape(self) -> tuple[int, int] | None:
-        fam = self.family
-        if fam in (ConeFamily.LOGDET, ConeFamily.RTDET):
-            return (self.d, self.d)
-        if fam is ConeFamily.LSPEC:
-            return (self.d1, self.d2)
-        return None
+        lift = self.rules.lift
+        if lift is None:
+            return None
+        n = self.spectrum_dim
+        return (n, n) if lift == "eig" else (self.d1, self.d2)
 
     @property
     def has_persp(self) -> bool:
-        return self.family in (ConeFamily.LOG, ConeFamily.LOGDET)
+        return self.rules.persp
 
     @property
     def epi_dim(self) -> int:
         """Size of the leading scalar/radial block."""
-        return self.d1 if self.family is ConeFamily.RPOWER else 1
+        return self.d1 if self.rules.radial else 1
 
     @property
     def ambient_dim(self) -> int:
@@ -351,42 +453,20 @@ class ConePoint:
 
 def check_shape(cone: ConeDescriptor, point: ConePoint) -> None:
     """Raise ``ValueError`` unless ``point`` has this cone's block layout."""
-    fam = cone.family
-    if fam is ConeFamily.RPOWER:
-        epi = np.atleast_1d(np.asarray(point.epi, dtype=float))
-        if epi.shape != (cone.d1,):
-            raise ValueError(f"rpower: epi block must have shape ({cone.d1},)")
-    elif isinstance(point.epi, np.ndarray) and point.epi.shape not in ((), (1,)):
-        raise ValueError(f"{fam.value}: epi block must be a scalar")
-    if cone.has_persp:
-        if point.persp is None:
-            raise ValueError(f"{fam.value}: perspective block required")
-    elif point.persp is not None:
-        raise ValueError(f"{fam.value}: takes no perspective block")
-    if cone.vec_dim:
-        if point.vec is None or point.vec.shape != (cone.vec_dim,):
-            raise ValueError(
-                f"{fam.value}: vec block must have shape ({cone.vec_dim},)"
-            )
-    elif point.vec is not None:
-        raise ValueError(f"{fam.value}: takes no vec block")
-    shape = cone.mat_shape
-    if shape is not None:
-        if point.mat is None or point.mat.shape != shape:
-            raise ValueError(f"{fam.value}: mat block must have shape {shape}")
-    elif point.mat is not None:
-        raise ValueError(f"{fam.value}: takes no mat block")
-
-
-def _epi_scalar(point: ConePoint) -> float:
-    e = point.epi
-    if isinstance(e, np.ndarray):
-        return float(e.reshape(()))
-    return float(e)
-
-
-def _epi_radial(point: ConePoint) -> np.ndarray:
-    return np.atleast_1d(np.asarray(point.epi, dtype=float))
+    name = cone.family.value
+    if cone.layout.radial:
+        if np.atleast_1d(point.epi).shape != (cone.d1,):
+            raise ValueError(f"{name}: epi block must have shape ({cone.d1},)")
+    elif np.shape(point.epi) not in ((), (1,)):
+        raise ValueError(f"{name}: epi block must be a scalar")
+    if (point.persp is None) == cone.has_persp:
+        raise ValueError(f"{name}: perspective block required" if cone.has_persp
+                         else f"{name}: takes no perspective block")
+    for what, block, shape in (("vec", point.vec, (cone.vec_dim,) if cone.vec_dim else None),
+                               ("mat", point.mat, cone.mat_shape)):
+        if (None if block is None else block.shape) != shape:
+            raise ValueError(f"{name}: takes no {what} block" if shape is None
+                             else f"{name}: {what} block must have shape {shape}")
 
 
 def pack(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
@@ -419,15 +499,29 @@ def barrier_parameter(cone: ConeDescriptor) -> float:
     return cone.nu
 
 
-def _check_symmetric(mat: np.ndarray, what: str) -> None:
-    scale = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.T) > 1e-13 * max(scale, 1.0):
+def canonical_point(cone: ConeDescriptor) -> ConePoint:
+    """The family's canonical interior point; a matrix family's has the
+    vector family's spectrum on the diagonal."""
+    epi, persp, entry = cone.rules.canonical
+    if cone.layout.radial:
+        epi = np.full(cone.d1, epi)
+    if cone.mat_shape is None:
+        return ConePoint(epi=epi, persp=persp, vec=np.full(cone.vec_dim, entry))
+    return ConePoint(epi=epi, persp=persp, mat=entry * np.eye(*cone.mat_shape))
+
+
+def _spectrum(cone: ConeDescriptor, point: ConePoint, what: str) -> np.ndarray:
+    """The vector block, or the eigenvalues or singular values of the matrix
+    block."""
+    lift = cone.rules.lift
+    if lift is None:
+        return point.vec
+    if lift == "svd":
+        return np.linalg.svd(point.mat, compute_uv=False)
+    scale = np.linalg.norm(point.mat)
+    if np.linalg.norm(point.mat - point.mat.T) > 1e-13 * max(scale, 1.0):
         raise ValueError(f"{what}: matrix block must be symmetric")
-
-
-def _eigvals_sym(mat: np.ndarray, what: str) -> np.ndarray:
-    _check_symmetric(mat, what)
-    return np.linalg.eigvalsh(mat)
+    return np.linalg.eigvalsh(point.mat)
 
 
 def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
@@ -437,82 +531,12 @@ def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     quantities; boundary points classify as not interior.
     """
     check_shape(cone, point)
-    fam = cone.family
-    if fam is ConeFamily.LOG:
-        u, v, w = _epi_scalar(point), float(point.persp), point.vec
-        if v <= 0.0 or not np.all(w > 0.0):
-            return False
-        return u < v * float(np.sum(np.log(w)) - w.size * np.log(v))
-    if fam is ConeFamily.LOGDET:
-        u, v = _epi_scalar(point), float(point.persp)
-        lam = _eigvals_sym(point.mat, "logdet")
-        if v <= 0.0 or not np.all(lam > 0.0):
-            return False
-        return u < v * float(np.sum(np.log(lam)) - lam.size * np.log(v))
-    if fam in (ConeFamily.HPOWER, ConeFamily.HGEOM):
-        u, w = _epi_scalar(point), point.vec
-        if not np.all(w > 0.0):
-            return False
-        return u < float(np.exp(np.dot(cone.alpha, np.log(w))))
-    if fam is ConeFamily.RTDET:
-        u = _epi_scalar(point)
-        lam = _eigvals_sym(point.mat, "rtdet")
-        if not np.all(lam > 0.0):
-            return False
-        return u < float(np.exp(np.mean(np.log(lam))))
-    if fam in _RADIAL_FAMILIES:
-        u = _epi_radial(point)
-        w = point.vec
-        if not np.all(w > 0.0):
-            return False
-        return float(np.linalg.norm(u)) < float(np.exp(np.dot(cone.alpha, np.log(w))))
-    if fam is ConeFamily.LINF:
-        u, w = _epi_scalar(point), point.vec
-        return u > float(np.max(np.abs(w))) if w.size else u > 0.0
-    # lspec
-    u = _epi_scalar(point)
-    smax = float(np.linalg.norm(point.mat, 2))
-    return u > smax
+    w = _spectrum(cone, point, cone.family.value)
+    return bool(cone.rules.primal(cone, point.epi, point.persp, w))
 
 
 def dual_in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     """Strict membership in the open dual cone."""
     check_shape(cone, point)
-    fam = cone.family
-    if fam is ConeFamily.LOG:
-        p, q, r = _epi_scalar(point), float(point.persp), point.vec
-        if p >= 0.0 or not np.all(r > 0.0):
-            return False
-        return q > p * float(np.sum(np.log(-r / p))) + p * r.size
-    if fam is ConeFamily.LOGDET:
-        p, q = _epi_scalar(point), float(point.persp)
-        lam = _eigvals_sym(point.mat, "logdet dual")
-        if p >= 0.0 or not np.all(lam > 0.0):
-            return False
-        return q > p * float(np.sum(np.log(-lam / p))) + p * lam.size
-    if fam in (ConeFamily.HPOWER, ConeFamily.HGEOM):
-        p, r = _epi_scalar(point), point.vec
-        if p >= 0.0 or not np.all(r > 0.0):
-            return False
-        alpha = cone.alpha
-        return -p < float(np.exp(np.dot(alpha, np.log(r / alpha))))
-    if fam is ConeFamily.RTDET:
-        p = _epi_scalar(point)
-        lam = _eigvals_sym(point.mat, "rtdet dual")
-        if p >= 0.0 or not np.all(lam > 0.0):
-            return False
-        return -p < lam.size * float(np.exp(np.mean(np.log(lam))))
-    if fam in _RADIAL_FAMILIES:
-        p = _epi_radial(point)
-        r = point.vec
-        if not np.all(r > 0.0):
-            return False
-        alpha = cone.alpha
-        return float(np.linalg.norm(p)) < float(np.exp(np.dot(alpha, np.log(r / alpha))))
-    if fam is ConeFamily.LINF:
-        p, r = _epi_scalar(point), point.vec
-        return p > float(np.sum(np.abs(r)))
-    # lspec: dual is the epigraph of the nuclear norm
-    p = _epi_scalar(point)
-    sigma = np.linalg.svd(point.mat, compute_uv=False)
-    return p > float(np.sum(sigma))
+    r = _spectrum(cone, point, f"{cone.family.value} dual")
+    return bool(cone.rules.dual(cone, point.epi, point.persp, r))

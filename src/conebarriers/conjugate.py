@@ -22,14 +22,17 @@ root found by a guarded Newton-Raphson iteration:
   ``(p - ||r||_1) y`` with ``p - ||r||_1`` rounded once; what is left is a
   sum of positive terms, accurate in plain binary64.
 
-Matrix families reuse the vector procedures on the spectrum and lift the
-result back through the eigenvector or singular-vector frames.
+Each vector family's g*, univariate reduction and closed-form f* form one
+record in ``_KERNELS``.  A matrix family runs its vector family's record on
+the spectrum of ``R`` (``FamilyRules.lift``) and rotates g* back through the
+eigen or singular frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .cones import (
     unpack,
 )
 from .linalg import sym_eigen, svd
-from .scalars import RootResult, StopRule, newton_raphson, wright_omega
+from .scalars import StopRule, newton_raphson, wright_omega
 
 __all__ = [
     "ConjugateResult",
@@ -81,17 +84,15 @@ def _require_dual_interior(cone: ConeDescriptor, r: ConePoint) -> None:
         )
 
 
-def _negate(cone: ConeDescriptor, point: ConePoint) -> ConePoint:
-    return unpack(cone, -pack(cone, point))
-
-
 # --------------------------------------------------------------------------
 # univariate reductions
 # --------------------------------------------------------------------------
 
-def _hpower_h(alpha: np.ndarray, p: float, log_phi_r: float):
+def _hpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
     """h(y) = sum alpha_i log(y - p alpha_i) - log phi(r), increasing, concave."""
-    pa = p * alpha
+    alpha = cone.alpha
+    log_phi_r = float(np.dot(alpha, np.log(rv)))
+    pa = float(p) * alpha
     lo = float(np.max(pa))
 
     def fn(y: float):
@@ -103,8 +104,13 @@ def _hpower_h(alpha: np.ndarray, p: float, log_phi_r: float):
     return fn
 
 
-def _rpower_h(alpha: np.ndarray, s: float, log_phi_r: float):
+def _rpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
     """Decreasing convex h for the radial power cone, s = ||p|| > 0."""
+    _, s, zero = _radial_parts(p, rv)
+    if zero:
+        raise ValueError("rpower reduction needs a nonzero radial block")
+    alpha = cone.alpha
+    log_phi_r = 2.0 * float(np.dot(alpha, np.log(rv)))
 
     def fn(y: float):
         if y <= 0.0:
@@ -147,34 +153,12 @@ def _linf_reduction(p: float, r: np.ndarray):
     return fn, y0
 
 
-def lemma_h(cone: ConeDescriptor, r: ConePoint):
-    """Univariate root function (h, h') underlying this cone's conjugate.
-
-    Returns a callback suitable for :func:`conebarriers.scalars.newton_raphson`.
-    Only the power and norm families have such a reduction.
-    """
-    check_shape(cone, r)
-    fam = cone.family
-    if fam in (ConeFamily.HPOWER, ConeFamily.HGEOM):
-        p = float(r.epi)
-        return _hpower_h(cone.alpha, p, float(np.dot(cone.alpha, np.log(r.vec))))
-    if fam in (ConeFamily.RPOWER, ConeFamily.RGEOM):
-        s = float(np.linalg.norm(np.atleast_1d(np.asarray(r.epi, dtype=float))))
-        if s <= _RADIAL_ZERO_FACTOR * float(np.linalg.norm(pack(cone, r))):
-            raise ValueError("rpower reduction needs a nonzero radial block")
-        return _rpower_h(cone.alpha, s, 2.0 * float(np.dot(cone.alpha, np.log(r.vec))))
-    if fam is ConeFamily.LINF:
-        return _linf_reduction(float(r.epi), r.vec)[0]
-    if fam is ConeFamily.LSPEC:
-        return _linf_reduction(float(r.epi), svd(r.mat).sigma)[0]
-    raise ValueError(f"{fam.value}: conjugate gradient needs no root finding")
-
-
 # --------------------------------------------------------------------------
 # per-family conjugate gradients on spectra
 # --------------------------------------------------------------------------
 
-def _log_parts(d: int, p: float, q: float, rv: np.ndarray):
+def _log_parts(p: float, q: float, rv: np.ndarray):
+    d = rv.size
     logs = np.log(-rv / p)
     # the slack of beta over its boundary value is a fine cancellation near
     # the dual boundary; an exact sum keeps it to the accuracy of the logs
@@ -186,14 +170,6 @@ def _log_parts(d: int, p: float, q: float, rv: np.ndarray):
     # recover the leading component from <g*, r> = -nu, which it must satisfy
     gp = math.fsum([-float(d) - 2.0, -q * gq] + (-rv * gr).tolist()) / p
     return gp, gq, gr, wbar
-
-
-def _hgeom_parts(d: int, p: float, rv: np.ndarray):
-    phi = float(np.exp(np.mean(np.log(rv))))
-    den = phi + p / d
-    gp = -1.0 / p - 1.0 / den
-    gr = -phi / (rv * den)
-    return gp, gr
 
 
 def _rgeom_yminus(d2: int, s: float, m: float) -> float:
@@ -228,14 +204,6 @@ def _rpower_tail_start(alpha: np.ndarray, s: float, log_cap: float) -> float | N
     return 0.9 * (b + math.sqrt(disc)) / (-2.0 * a)
 
 
-def _linf_solve(p: float, rv: np.ndarray) -> tuple[float, RootResult | None]:
-    if not np.any(rv != 0.0):
-        return -(rv.size + 1.0) / p, None
-    fn, y0 = _linf_reduction(p, rv)
-    res = newton_raphson(fn, y0, StopRule())
-    return res.root, res
-
-
 def _linf_gr(yhat: float, rv: np.ndarray) -> np.ndarray:
     # (sqrt(1 + y^2 r^2) - 1)/r rewritten to avoid cancellation at small y r
     x2 = (yhat * rv) ** 2
@@ -243,109 +211,162 @@ def _linf_gr(yhat: float, rv: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# vector kernels: (cone, p, q, r) -> (g_p, g_q, g_r, RootResult or None)
+# --------------------------------------------------------------------------
+
+def _log_gradient(cone, p, q, rv):
+    gp, gq, gr, _ = _log_parts(float(p), float(q), rv)
+    return gp, gq, gr, None
+
+
+def _log_value(p, q, rv) -> float:
+    p, d = float(p), rv.size
+    wbar = _log_parts(p, float(q), rv)[3]
+    return (-2.0 - d - 2.0 * math.log(-p)
+            - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
+            - float(np.sum(np.log(rv))))
+
+
+def _hpower_gradient(cone, p, q, rv):
+    p = float(p)
+    res = newton_raphson(_hpower_h(cone, p, rv), 0.0, StopRule())
+    yhat = res.root
+    return -1.0 / p - 1.0 / yhat, None, (p * cone.alpha / yhat - 1.0) / rv, res
+
+
+def _hgeom_gradient(cone, p, q, rv):
+    p = float(p)
+    phi = float(np.exp(np.mean(np.log(rv))))
+    den = phi + p / rv.size
+    return -1.0 / p - 1.0 / den, None, -phi / (rv * den), None
+
+
+def _hgeom_value(p, q, rv) -> float:
+    p, d = float(p), rv.size
+    phi = float(np.exp(np.mean(np.log(rv))))
+    return (-1.0 - d - d * math.log((d * phi + p) / (d * phi))
+            - math.log(-p) - float(np.sum(np.log(rv))))
+
+
+def _radial_parts(p, rv):
+    """Radial block as a vector, its norm, and whether it counts as zero."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    s = float(np.linalg.norm(p))
+    return p, s, s <= _RADIAL_ZERO_FACTOR * float(np.linalg.norm(np.append(p, rv)))
+
+
+def _radial_gradient(cone, p, q, rv):
+    p, s, zero = _radial_parts(p, rv)
+    alpha, res = cone.alpha, None
+    if zero:
+        gp = np.zeros_like(p)
+        gr = -(1.0 + alpha) / rv
+    else:
+        y_minus = _rgeom_yminus(rv.size, s, float(np.exp(np.dot(alpha, np.log(rv)))))
+        if cone.powers is None:
+            # equal weights: y_minus is the exact root
+            yhat = y_minus
+        else:
+            log_cap = float(np.dot(alpha, np.log(rv / alpha)))
+            y_tail = _rpower_tail_start(alpha, s, log_cap)
+            y0 = y_minus if y_tail is None else max(y_minus, y_tail)
+            res = newton_raphson(_rpower_h(cone, p, rv), y0, StopRule())
+            yhat = res.root
+        gp = yhat * p / s
+        gr = -(alpha * (1.0 + s * yhat) + 1.0) / rv
+    return (gp if cone.layout.radial else float(gp[0])), None, gr, res
+
+
+def _linf_gradient(cone, p, q, rv):
+    p = float(p)
+    if not np.any(rv != 0.0):
+        yhat, res = -(rv.size + 1.0) / p, None
+    else:
+        fn, y0 = _linf_reduction(p, rv)
+        res = newton_raphson(fn, y0, StopRule())
+        yhat = res.root
+    return yhat, None, _linf_gr(yhat, rv), res
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """A vector family's g*, its univariate reduction ``(cone, p, r) ->
+    (h, h')`` callback, and its closed-form f*, where these exist."""
+
+    gradient: Callable
+    reduction: Callable | None = None
+    value: Callable | None = None
+
+
+_RADIAL = _Kernel(_radial_gradient, _rpower_h)
+
+_KERNELS = {
+    ConeFamily.LOG: _Kernel(_log_gradient, value=_log_value),
+    ConeFamily.HPOWER: _Kernel(_hpower_gradient, _hpower_h),
+    ConeFamily.HGEOM: _Kernel(_hgeom_gradient, _hpower_h, _hgeom_value),
+    ConeFamily.RPOWER: _RADIAL,
+    ConeFamily.RGEOM: _RADIAL,
+    ConeFamily.LINF: _Kernel(_linf_gradient,
+                             lambda cone, p, rv: _linf_reduction(float(p), rv)[0]),
+}
+
+
+def _spectral(cone: ConeDescriptor, r: ConePoint):
+    """The vector block, or the spectrum of ``R`` with its frames ``(U, V)``."""
+    lift = cone.rules.lift
+    if lift is None:
+        return r.vec, None
+    if lift == "eig":
+        eig = sym_eigen(r.mat)
+        return eig.values, (eig.vectors, eig.vectors)
+    dec = svd(r.mat)
+    return dec.sigma, (dec.U, dec.V)
+
+
+# --------------------------------------------------------------------------
 # public oracles
 # --------------------------------------------------------------------------
+
+def lemma_h(cone: ConeDescriptor, r: ConePoint):
+    """Univariate root function (h, h') underlying this cone's conjugate.
+
+    Returns a callback suitable for :func:`conebarriers.scalars.newton_raphson`.
+    Only the power and norm families, and their matrix lifts, have such a
+    reduction.
+    """
+    check_shape(cone, r)
+    reduction = _KERNELS[cone.rules.vector].reduction
+    if reduction is None:
+        raise ValueError(f"{cone.family.value}: conjugate gradient needs no root finding")
+    rv, _ = _spectral(cone, r)
+    return reduction(cone, r.epi, rv)
+
 
 def conjugate_gradient(cone: ConeDescriptor, r: ConePoint) -> ConjugateResult:
     """Gradient of the conjugate barrier at a strictly interior dual point."""
     _require_dual_interior(cone, r)
-    fam = cone.family
-    iterations = 0
-    converged = True
-
-    if fam is ConeFamily.LOG:
-        gp, gq, gr, _ = _log_parts(cone.d, float(r.epi), float(r.persp), r.vec)
+    rv, frames = _spectral(cone, r)
+    gp, gq, gr, res = _KERNELS[cone.rules.vector].gradient(cone, r.epi, r.persp, rv)
+    if frames is None:
         g_star = ConePoint(epi=gp, persp=gq, vec=gr)
-    elif fam is ConeFamily.LOGDET:
-        eig = sym_eigen(r.mat)
-        gp, gq, glam, _ = _log_parts(cone.d, float(r.epi), float(r.persp), eig.values)
-        u = eig.vectors
-        g_star = ConePoint(epi=gp, persp=gq, mat=(u * glam) @ u.T)
-    elif fam is ConeFamily.HPOWER:
-        p, rv, alpha = float(r.epi), r.vec, cone.alpha
-        res = newton_raphson(lemma_h(cone, r), 0.0, StopRule())
-        iterations, converged = res.iterations, res.converged
-        yhat = res.root
-        gp = -1.0 / p - 1.0 / yhat
-        gr = (p * alpha / yhat - 1.0) / rv
-        g_star = ConePoint(epi=gp, vec=gr)
-    elif fam is ConeFamily.HGEOM:
-        gp, gr = _hgeom_parts(cone.d, float(r.epi), r.vec)
-        g_star = ConePoint(epi=gp, vec=gr)
-    elif fam is ConeFamily.RTDET:
-        eig = sym_eigen(r.mat)
-        gp, glam = _hgeom_parts(cone.d, float(r.epi), eig.values)
-        u = eig.vectors
-        g_star = ConePoint(epi=gp, mat=(u * glam) @ u.T)
-    elif fam in (ConeFamily.RPOWER, ConeFamily.RGEOM):
-        g_star, iterations, converged = _radial_conjugate(cone, r)
-    elif fam is ConeFamily.LINF:
-        p, rv = float(r.epi), r.vec
-        yhat, res = _linf_solve(p, rv)
-        if res is not None:
-            iterations, converged = res.iterations, res.converged
-        g_star = ConePoint(epi=yhat, vec=_linf_gr(yhat, rv))
-    else:  # lspec
-        p = float(r.epi)
-        dec = svd(r.mat)
-        yhat, res = _linf_solve(p, dec.sigma)
-        if res is not None:
-            iterations, converged = res.iterations, res.converged
-        g_star = ConePoint(epi=yhat, mat=(dec.U * _linf_gr(yhat, dec.sigma)) @ dec.V.T)
-
-    residual = abs(inner(cone, g_star, r) + cone.nu)
-    return ConjugateResult(g_star=g_star, iterations=iterations,
-                           residual=residual, converged=converged)
-
-
-def _radial_conjugate(cone: ConeDescriptor, r: ConePoint):
-    p = np.atleast_1d(np.asarray(r.epi, dtype=float))
-    rv, alpha, d2 = r.vec, cone.alpha, cone.d2
-    s = float(np.linalg.norm(p))
-    scalar_epi = cone.family is ConeFamily.RGEOM
-
-    if s <= _RADIAL_ZERO_FACTOR * float(np.linalg.norm(pack(cone, r))):
-        gp = np.zeros_like(p)
-        gr = -(1.0 + alpha) / rv
-        epi = 0.0 if scalar_epi else gp
-        return ConePoint(epi=epi, vec=gr), 0, True
-
-    m = float(np.exp(np.dot(alpha, np.log(rv))))
-    y_minus = _rgeom_yminus(d2, s, m)
-    if scalar_epi:
-        yhat, iterations, converged = y_minus, 0, True
     else:
-        log_cap = float(np.dot(alpha, np.log(rv / alpha)))
-        y_tail = _rpower_tail_start(alpha, s, log_cap)
-        y0 = y_minus if y_tail is None else max(y_minus, y_tail)
-        res = newton_raphson(lemma_h(cone, r), y0, StopRule())
-        yhat, iterations, converged = res.root, res.iterations, res.converged
-    gp = yhat * p / s
-    gr = -(alpha * (1.0 + s * yhat) + 1.0) / rv
-    epi = float(gp[0]) if scalar_epi else gp
-    return ConePoint(epi=epi, vec=gr), iterations, converged
+        u, v = frames
+        g_star = ConePoint(epi=gp, persp=gq, mat=(u * gr) @ v.T)
+    return ConjugateResult(g_star=g_star, iterations=0 if res is None else res.iterations,
+                           residual=abs(inner(cone, g_star, r) + cone.nu),
+                           converged=res is None or res.converged)
 
 
 def conjugate_value(cone: ConeDescriptor, r: ConePoint) -> float:
     """Conjugate barrier value f*(r).
 
-    Closed forms exist for the log and geometric-mean families; every other
-    family evaluates ``-nu - f(-g*(r))``.
+    Closed forms exist for the log and geometric-mean families and their
+    matrix lifts; every other family evaluates ``-nu - f(-g*(r))``.
     """
     _require_dual_interior(cone, r)
-    fam = cone.family
-    if fam is ConeFamily.LOG:
-        p, q, rv = float(r.epi), float(r.persp), r.vec
-        d = cone.d
-        _, _, _, wbar = _log_parts(d, p, q, rv)
-        return (-2.0 - d - 2.0 * math.log(-p)
-                - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
-                - float(np.sum(np.log(rv))))
-    if fam is ConeFamily.HGEOM:
-        p, rv = float(r.epi), r.vec
-        d = cone.d
-        phi = float(np.exp(np.mean(np.log(rv))))
-        return (-1.0 - d - d * math.log((d * phi + p) / (d * phi))
-                - math.log(-p) - float(np.sum(np.log(rv))))
-    g_star = conjugate_gradient(cone, r).g_star
-    return -cone.nu - barrier_value(cone, _negate(cone, g_star))
+    closed = _KERNELS[cone.rules.vector].value
+    if closed is None:
+        g_star = conjugate_gradient(cone, r).g_star
+        return -cone.nu - barrier_value(cone, unpack(cone, -pack(cone, g_star)))
+    rv, _ = _spectral(cone, r)
+    return closed(r.epi, r.persp, rv)

@@ -20,8 +20,10 @@ offset fraction ``o``:
   that lands outside.
 * linf / lspec   — ``p = (1+o) * l1-norm`` of the vector or spectrum.
 
-Matrix families embed the sampled spectrum in a random orthogonal or
-orthonormal frame.
+A matrix family runs its vector family's entry of ``_SAMPLERS`` for the
+spectrum, then draws a random orthogonal frame (and for lspec an orthonormal
+right frame).  The grid's cone of size ``d`` has a spectrum of length ``d``;
+its power weights are drawn first.
 
 Reproducibility.  Each (cone, d, o, trial) cell owns an RNG substream
 spawned from ``SeedSequence(seed, spawn_key=(cone_index, d, o_bits_hi,
@@ -37,7 +39,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ConeDescriptor, ConeFamily, ConePoint, dual_in_interior, inner, pack
+from .cones import (
+    RULES,
+    ConeDescriptor,
+    ConeFamily,
+    ConePoint,
+    PowerParams,
+    dual_in_interior,
+    inner,
+    pack,  # noqa: F401  # wrapped by perfbench/tracer.py
+    power_cap,
+)
 from .conjugate import conjugate_gradient
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
 
@@ -58,9 +70,6 @@ MATRIX_CONES = ["logdet", "rtdet", "lspec"]
 # cone identifier used in the RNG spawn key; append-only
 _CONE_IDS = {fam: i for i, fam in enumerate(ConeFamily)}
 
-# cones with an "s" column in the reference table (univariate Newton-Raphson)
-ROOTFIND_CONES = ("hpower", "rpower", "linf", "lspec")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,8 +82,12 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        if not (self.cones and self.dims and self.offsets):
+            raise ValueError("cones, dims and offsets must be non-empty")
         for name in self.cones:
             ConeFamily(name)  # raises on unknown names
+        if any(not isinstance(d, (int, np.integer)) or d < 1 for d in self.dims):
+            raise ValueError("dims must be integers >= 1")
         if any(not (0.0 < o < 1.0) for o in self.offsets):
             raise ValueError("offsets must lie strictly in (0, 1)")
         if self.trials < 1:
@@ -108,11 +121,6 @@ def _rand_orthogonal(rng, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _rand_frame(rng, rows: int, cols: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q
-
-
 def _positive_uniform(rng, n: int) -> np.ndarray:
     r = rng.uniform(0.0, 1.0, n)
     while np.any(r == 0.0):
@@ -125,95 +133,81 @@ def _random_alpha(rng, n: int) -> np.ndarray:
     return a / a.sum()
 
 
-def _log_scalar_blocks(rng, spectrum: np.ndarray, o: float):
-    d = spectrum.size
+def _sample_log(cone: ConeDescriptor, o: float, rng):
+    r = _positive_uniform(rng, cone.spectrum_dim)
     p = -float(_positive_uniform(rng, 1)[0])
-    q_bar = p * float(np.sum(np.log(-spectrum / p))) + p * d
+    q_bar = p * float(np.sum(np.log(-r / p))) + p * r.size
     q = q_bar * (1.0 + math.copysign(1.0, q_bar) * o) if q_bar != 0.0 else o
-    return p, q
+    return p, q, r
 
 
-def _power_cap(alpha: np.ndarray, r: np.ndarray) -> float:
-    return float(np.exp(np.dot(alpha, np.log(r / alpha))))
+def _sample_hpower(cone: ConeDescriptor, o: float, rng):
+    r = _positive_uniform(rng, cone.spectrum_dim)
+    # equal-weight cones cap with fresh random weights (module docstring)
+    alpha = cone.alpha if cone.powers is not None else _random_alpha(rng, r.size)
+    return -(1.0 - o) * power_cap(alpha, r), None, r
+
+
+def _sample_rpower(cone: ConeDescriptor, o: float, rng):
+    r = _positive_uniform(rng, cone.spectrum_dim)
+    direction = rng.standard_normal(cone.d1)
+    direction /= np.linalg.norm(direction)
+    return (1.0 - o) * power_cap(cone.alpha, r) * direction, None, r
+
+
+def _sample_rgeom(cone: ConeDescriptor, o: float, rng):
+    r = _positive_uniform(rng, cone.spectrum_dim)
+    cap = power_cap(_random_alpha(rng, r.size), r)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    return sign * (1.0 - o) * cap, None, r
+
+
+def _sample_linf(cone: ConeDescriptor, o: float, rng):
+    r = _positive_uniform(rng, cone.spectrum_dim)
+    return (1.0 + o) * float(np.sum(np.abs(r))), None, r
+
+
+# (cone, o, rng) -> (epi, persp, r) with r the vector block or the spectrum
+_SAMPLERS = {
+    ConeFamily.LOG: _sample_log,
+    ConeFamily.HPOWER: _sample_hpower,
+    ConeFamily.HGEOM: _sample_hpower,
+    ConeFamily.RPOWER: _sample_rpower,
+    ConeFamily.RGEOM: _sample_rgeom,
+    ConeFamily.LINF: _sample_linf,
+}
 
 
 def sample_dual_point(cone: ConeDescriptor, o: float, rng) -> ConePoint:
     """Random strictly interior dual point at relative boundary offset ``o``."""
     if not (0.0 < o < 1.0):
         raise ValueError("offset must lie strictly in (0, 1)")
-    fam = cone.family
     for _ in range(100):
-        point = _sample_once(cone, fam, o, rng)
+        point = _sample_once(cone, o, rng)
         if dual_in_interior(cone, point):
             return point
-    raise RuntimeError(f"could not sample an interior dual point for {fam.value}")
+    raise RuntimeError(f"could not sample an interior dual point for {cone.family.value}")
 
 
-def _sample_once(cone: ConeDescriptor, fam: ConeFamily, o: float, rng) -> ConePoint:
-    if fam is ConeFamily.LOG:
-        r = _positive_uniform(rng, cone.d)
-        p, q = _log_scalar_blocks(rng, r, o)
-        return ConePoint(epi=p, persp=q, vec=r)
-    if fam is ConeFamily.LOGDET:
-        lam = _positive_uniform(rng, cone.d)
-        p, q = _log_scalar_blocks(rng, lam, o)
-        u = _rand_orthogonal(rng, cone.d)
-        mat = (u * lam) @ u.T
-        return ConePoint(epi=p, persp=q, mat=0.5 * (mat + mat.T))
-    if fam is ConeFamily.HPOWER:
-        r = _positive_uniform(rng, cone.d)
-        return ConePoint(epi=-(1.0 - o) * _power_cap(cone.alpha, r), vec=r)
-    if fam is ConeFamily.HGEOM:
-        r = _positive_uniform(rng, cone.d)
-        cap = _power_cap(_random_alpha(rng, cone.d), r)
-        return ConePoint(epi=-(1.0 - o) * cap, vec=r)
-    if fam is ConeFamily.RTDET:
-        lam = _positive_uniform(rng, cone.d)
-        cap = _power_cap(_random_alpha(rng, cone.d), lam)
-        u = _rand_orthogonal(rng, cone.d)
-        mat = (u * lam) @ u.T
-        return ConePoint(epi=-(1.0 - o) * cap, mat=0.5 * (mat + mat.T))
-    if fam is ConeFamily.RPOWER:
-        r = _positive_uniform(rng, cone.d2)
-        direction = rng.standard_normal(cone.d1)
-        direction /= np.linalg.norm(direction)
-        return ConePoint(epi=(1.0 - o) * _power_cap(cone.alpha, r) * direction, vec=r)
-    if fam is ConeFamily.RGEOM:
-        r = _positive_uniform(rng, cone.d2)
-        cap = _power_cap(_random_alpha(rng, cone.d2), r)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        return ConePoint(epi=sign * (1.0 - o) * cap, vec=r)
-    if fam is ConeFamily.LINF:
-        r = _positive_uniform(rng, cone.d)
-        return ConePoint(epi=(1.0 + o) * float(np.sum(np.abs(r))), vec=r)
-    # lspec
-    sigma = _positive_uniform(rng, cone.d1)
-    u = _rand_orthogonal(rng, cone.d1)
-    v = _rand_frame(rng, cone.d2, cone.d1)
-    return ConePoint(epi=(1.0 + o) * float(np.sum(sigma)),
-                     mat=(u * sigma) @ v.T)
+def _sample_once(cone: ConeDescriptor, o: float, rng) -> ConePoint:
+    epi, persp, r = _SAMPLERS[cone.rules.vector](cone, o, rng)
+    lift = cone.rules.lift
+    if lift is None:
+        return ConePoint(epi=epi, persp=persp, vec=r)
+    u = _rand_orthogonal(rng, r.size)
+    if lift == "eig":
+        mat = (u * r) @ u.T
+        return ConePoint(epi=epi, persp=persp, mat=0.5 * (mat + mat.T))
+    v, _ = np.linalg.qr(rng.standard_normal((cone.mat_shape[1], r.size)))
+    return ConePoint(epi=epi, persp=persp, mat=(u * r) @ v.T)
 
 
 def _make_cone(fam: ConeFamily, d: int, rng) -> ConeDescriptor:
     # power weights are part of the trial draw; they are consumed from the
     # substream before the point itself
-    if fam is ConeFamily.HPOWER:
-        return ConeDescriptor.hpower(_random_alpha(rng, d))
-    if fam is ConeFamily.RPOWER:
-        return ConeDescriptor.rpower(d, _random_alpha(rng, d))
-    if fam is ConeFamily.LOG:
-        return ConeDescriptor.log(d)
-    if fam is ConeFamily.LOGDET:
-        return ConeDescriptor.logdet(d)
-    if fam is ConeFamily.HGEOM:
-        return ConeDescriptor.hgeom(d)
-    if fam is ConeFamily.RTDET:
-        return ConeDescriptor.rtdet(d)
-    if fam is ConeFamily.RGEOM:
-        return ConeDescriptor.rgeom(d)
-    if fam is ConeFamily.LINF:
-        return ConeDescriptor.linf(d)
-    return ConeDescriptor.lspec(d, d)
+    rules = RULES[fam]
+    powers = PowerParams(_random_alpha(rng, d)) if rules.weights == "given" else None
+    return ConeDescriptor(fam, powers=powers, **rules.dims(d))
 
 
 def _cell_rng(seed: int, fam: ConeFamily, d: int, o: float, trial: int):

@@ -35,9 +35,9 @@ import numpy as np
 from .barriers import BarrierWorkspace
 from .cones import (
     ConeDescriptor,
-    ConeFamily,
     ConePoint,
     NotInteriorError,
+    canonical_point,
     dual_in_interior,
     in_interior,
     pack,
@@ -87,25 +87,6 @@ def local_norm_lambda(cone: ConeDescriptor, w: ConePoint, r: ConePoint) -> float
     return math.sqrt(max(rad, 0.0))
 
 
-def _canonical_interior(cone: ConeDescriptor) -> ConePoint:
-    fam = cone.family
-    if fam is ConeFamily.LOG:
-        return ConePoint(epi=-1.0, persp=1.0, vec=np.ones(cone.d))
-    if fam is ConeFamily.LOGDET:
-        return ConePoint(epi=-1.0, persp=1.0, mat=np.eye(cone.d))
-    if fam in (ConeFamily.HPOWER, ConeFamily.HGEOM):
-        return ConePoint(epi=-1.0, vec=np.ones(cone.d))
-    if fam is ConeFamily.RTDET:
-        return ConePoint(epi=-1.0, mat=np.eye(cone.d))
-    if fam is ConeFamily.RPOWER:
-        return ConePoint(epi=np.zeros(cone.d1), vec=np.ones(cone.d2))
-    if fam is ConeFamily.RGEOM:
-        return ConePoint(epi=0.0, vec=np.ones(cone.d2))
-    if fam is ConeFamily.LINF:
-        return ConePoint(epi=1.0, vec=np.zeros(cone.d))
-    return ConePoint(epi=1.0, mat=np.zeros(cone.mat_shape))
-
-
 def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
     """Canonical interior point rescaled so that ``<w0, r> = nu``.
 
@@ -117,14 +98,14 @@ def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
 
 
 def _initial_packed(cone: ConeDescriptor, rf: np.ndarray) -> np.ndarray:
-    wc = pack(cone, _canonical_interior(cone))
+    wc = pack(cone, canonical_point(cone))
     return (cone.nu / float(np.dot(wc, rf))) * wc
 
 
 def _symmetrize_inplace(cone: ConeDescriptor, wf: np.ndarray) -> None:
     # round-off can drift the matrix block of an iterate off the symmetric
     # subspace, which the membership test rejects
-    if cone.family in (ConeFamily.LOGDET, ConeFamily.RTDET):
+    if cone.rules.lift == "eig":
         _, _, _, m = cone.layout.blocks(wf)
         m[...] = 0.5 * (m + m.T)
 
@@ -190,7 +171,7 @@ def generic_conjugate_gradient(
                 cand_ws = BarrierWorkspace(cone, cand)
                 accepted = (cand, cand_ws)
                 break
-            except (NotInteriorError, NonPositiveDefiniteError):
+            except NotInteriorError:
                 alpha *= 0.5
         if accepted is None:
             status = NewtonStatus.LEFT_INTERIOR

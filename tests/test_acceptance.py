@@ -18,6 +18,7 @@ from conebarriers import (
     NewtonStatus,
     cholesky_solve,
     conjugate_gradient,
+    dual_in_interior,
     generic_conjugate_gradient,
     gradient,
     hessian_apply,
@@ -38,6 +39,7 @@ from conebarriers.cli import main as cli_main
 from conftest import (
     ALL_FAMILIES,
     interior_point,
+    rand_orthogonal,
     random_cone,
     random_direction,
 )
@@ -268,6 +270,31 @@ def test_criterion_5_matrix_vector_consistency():
         sm = conjugate_gradient(cm, ConePoint(epi=p, mat=np.diag(w)))
         np.testing.assert_allclose(np.sort(np.diag(sm.g_star.mat)),
                                    np.sort(sv.g_star.vec), rtol=0, atol=1e-12)
+
+        # membership of the lifts just inside and just outside the boundary,
+        # on the diagonal embedding and, for the eigenvalue lifts, a random
+        # rotation of it; lspec gets signed entries (singular values |w_i|)
+        q = rand_orthogonal(rng, d)
+        rot = (q * w) @ q.T
+        mats = (np.diag(w), 0.5 * (rot + rot.T))
+        signed = w * rng.choice([-1.0, 1.0], d)
+        v, p = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+        ub = v * np.sum(np.log(w / v))
+        qb = p * np.sum(np.log(-w / p)) + p * d
+        cap = np.exp(np.mean(np.log(w)))
+        for s in (1e-6, -1e-6):  # inside, outside
+            for cv, cm, vec, embedded, primal, dual in (
+                    (ConeDescriptor.log(d), ConeDescriptor.logdet(d), w, mats,
+                     (ub - s * (1 + abs(ub)), v), (p, qb + s * (1 + abs(qb)))),
+                    (ConeDescriptor.hgeom(d), ConeDescriptor.rtdet(d), w, mats,
+                     (cap * (1 - s), None), (-d * cap * (1 - s), None)),
+                    (ConeDescriptor.linf(d), ConeDescriptor.lspec(d, d), signed,
+                     (np.diag(signed),), (np.max(w) * (1 + s), None),
+                     (np.sum(w) * (1 + s), None))):
+                for (epi, persp), test in ((primal, in_interior), (dual, dual_in_interior)):
+                    assert test(cv, ConePoint(epi=epi, persp=persp, vec=vec)) == (s > 0)
+                    for mat in embedded:
+                        assert test(cm, ConePoint(epi=epi, persp=persp, mat=mat)) == (s > 0)
     report(5, "matrix/vector consistency", "(diagonal embeddings, 1e-12)")
 
 

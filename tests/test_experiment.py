@@ -155,6 +155,10 @@ class TestRunGrid:
             ExperimentConfig(cones=("nosuchcone",))
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="tsv")
+        for grid in (dict(cones=()), dict(dims=()), dict(offsets=()),
+                     dict(dims=(0,)), dict(dims=(4, -1)), dict(dims=(2.5,))):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**grid)
         for eps in (0.0, -1e-12, math.nan, math.inf):
             with pytest.raises(ValueError):
                 ExperimentConfig(eps=eps)
@@ -266,6 +270,21 @@ class TestCli:
                 cli_main(["--cones", "linf", "--dims", "4", "--offsets", "0.1",
                           "--trials", "2", "--eps", eps])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid", [["--dims", "0"], ["--dims", ""],
+                                      ["--cones", ""], ["--offsets", ""]],
+                             ids=["dims-0", "dims-empty", "cones-empty", "offsets-empty"])
+    def test_bad_grid_is_usage_error(self, grid, capsys):
+        # the failures must not reach run_grid, which counts a descriptor's
+        # ValueError as failed trials
+        args = ["--cones", "linf", "--dims", "4", "--offsets", "0.1",
+                "--trials", "2"] + grid
+        with pytest.raises(SystemExit) as exc:
+            cli_main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: conebench" in captured.err
 
     def test_unknown_cone_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
