@@ -304,11 +304,14 @@ class ConeDescriptor:
     d1: int = 0
     d2: int = 0
     powers: PowerParams | None = field(default=None)
-    # block positions in the packed vector, set at construction
+    # the family's rules and the block positions in the packed vector, set
+    # at construction
+    rules: FamilyRules = field(init=False, repr=False, compare=False)
     layout: PackedLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", ConeFamily(self.family))
+        object.__setattr__(self, "rules", RULES[self.family])
         rules, name = self.rules, self.family.value
         n = self.spectrum_dim
         if rules.weights == "given":
@@ -365,10 +368,6 @@ class ConeDescriptor:
         return cls(ConeFamily.LSPEC, d1=d1, d2=d2)
 
     # ----------------------------------------------------------- properties
-    @property
-    def rules(self) -> FamilyRules:
-        return RULES[self.family]
-
     @property
     def spectrum_dim(self) -> int:
         """Length of the vector block, or of the matrix block's spectrum."""
