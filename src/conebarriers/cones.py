@@ -452,20 +452,20 @@ class ConePoint:
 
 def check_shape(cone: ConeDescriptor, point: ConePoint) -> None:
     """Raise ``ValueError`` unless ``point`` has this cone's block layout."""
-    name = cone.family.value
-    if cone.layout.radial:
-        if np.atleast_1d(point.epi).shape != (cone.d1,):
-            raise ValueError(f"{name}: epi block must have shape ({cone.d1},)")
-    elif np.shape(point.epi) not in ((), (1,)):
-        raise ValueError(f"{name}: epi block must be a scalar")
-    if (point.persp is None) == cone.has_persp:
-        raise ValueError(f"{name}: perspective block required" if cone.has_persp
-                         else f"{name}: takes no perspective block")
-    for what, block, shape in (("vec", point.vec, (cone.vec_dim,) if cone.vec_dim else None),
-                               ("mat", point.mat, cone.mat_shape)):
+    lay, kind = cone.layout, cone.family
+    if lay.radial:
+        if np.atleast_1d(point.epi).shape != (lay.epi.stop,):
+            raise ValueError(f"{kind.value}: epi block must have shape ({lay.epi.stop},)")
+    elif isinstance(point.epi, np.ndarray) and point.epi.shape not in ((), (1,)):
+        raise ValueError(f"{kind.value}: epi block must be a scalar")
+    if (point.persp is None) != (lay.persp is None):
+        raise ValueError(f"{kind.value}: perspective block required" if point.persp is None
+                         else f"{kind.value}: takes no perspective block")
+    vec = None if lay.vec is None else (lay.vec.stop - lay.vec.start,)
+    for what, block, shape in (("vec", point.vec, vec), ("mat", point.mat, lay.mat_shape)):
         if (None if block is None else block.shape) != shape:
-            raise ValueError(f"{name}: takes no {what} block" if shape is None
-                             else f"{name}: {what} block must have shape {shape}")
+            raise ValueError(f"{kind.value}: takes no {what} block" if shape is None
+                             else f"{kind.value}: {what} block must have shape {shape}")
 
 
 def pack(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
