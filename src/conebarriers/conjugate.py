@@ -9,11 +9,15 @@ root found by a guarded Newton-Raphson iteration:
   - log prod_i r_i**alpha_i`` started at 0 (h is increasing and concave, so
   the iterates increase monotonically to the root).
 * hgeom / rtdet       — closed form (equal-weight specialization).
-* rpower              — after reducing the radial block to its norm, the
-  positive root of the decreasing convex ``h`` below, started at the larger
-  of two proven lower bounds of the root: the equal-weight solution
-  ``y_minus`` and a tail-expansion bound that stays tight near the dual
-  boundary.
+* rpower              — after reducing the radial block to its norm s, the
+  positive root of the decreasing convex ``h(y) = a + sum 2 alpha_i
+  log1p(c_i / y) - log1p(b / y)`` with ``a = 2 (log s - log cap) < 0``,
+  ``c_i = (1 + alpha_i)/(s alpha_i)`` and ``b = 2/s``.  The ``log y`` parts
+  of the direct form's logs cancel exactly and are left out (but for a term
+  in the weights' rounded sum), so near the dual boundary every term is of
+  size o and plain binary64 resolves h.  The start is the larger of two
+  proven lower bounds of the root: the equal-weight solution ``y_minus`` and
+  a tail-expansion bound that stays tight near the dual boundary.
 * rgeom               — closed form (``y_minus`` is the exact root).
 * linf / lspec        — negative root of ``h(y) = p y
   + sum_i sqrt(1 + r_i^2 y^2) + 1``.  Close to the dual boundary ``p y``
@@ -43,7 +47,7 @@ from .cones import (
     ConePoint,
     NotInteriorError,
     check_shape,
-    dual_in_interior,
+    dual_in_interior,  # noqa: F401  # wrapped by perfbench/tracer.py
     inner,
     pack,
     unpack,
@@ -77,13 +81,6 @@ class ConjugateResult:
     converged: bool
 
 
-def _require_dual_interior(cone: ConeDescriptor, r: ConePoint) -> None:
-    if not dual_in_interior(cone, r):
-        raise NotInteriorError(
-            f"dual point is not interior to the {cone.family.value} dual cone"
-        )
-
-
 # --------------------------------------------------------------------------
 # univariate reductions
 # --------------------------------------------------------------------------
@@ -104,25 +101,43 @@ def _hpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
     return fn
 
 
-def _rpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
-    """Decreasing convex h for the radial power cone, s = ||p|| > 0."""
-    _, s, zero = _radial_parts(p, rv)
-    if zero:
-        raise ValueError("rpower reduction needs a nonzero radial block")
-    alpha = cone.alpha
-    log_phi_r = 2.0 * float(np.dot(alpha, np.log(rv)))
+def _rpower_reduction(alpha: np.ndarray, s: float, rv: np.ndarray):
+    """Decreasing convex h for the radial power cone, s = ||p|| > 0, and a.
+
+    ``h(y) = a + sum 2 alpha_i log1p(c_i / y) - log1p(b / y)
+    + 2 delta log(2 y^2)`` with ``a = 2 (log s - log cap)``, ``c_i = (1 +
+    alpha_i)/(s alpha_i)``, ``b = 2/s`` and ``delta = sum alpha - 1``: the
+    ``log y`` terms of the direct form's logs cancel up to ``delta``, so near
+    the root every term is of size o and nothing cancels.  ``delta`` is zero
+    in exact arithmetic, but binary64 weights sum to 1 only within an ulp,
+    and dropping its term moves the root by up to 1e-2 relative at
+    o = 1e-12.
+    Returns the (h, h') callback, valid for y > 0, and ``a``.
+    """
+    a = 2.0 * (math.log(s) - float(np.dot(alpha, np.log(rv / alpha))))
+    two_alpha = 2.0 * alpha
+    c = (1.0 + alpha) / (s * alpha)
+    k = two_alpha * c
+    b = 2.0 / s
+    two_delta = 2.0 * math.fsum([-1.0] + alpha.tolist())
 
     def fn(y: float):
         if y <= 0.0:
             raise ValueError("rpower reduction: y must be positive")
-        t = 2.0 * alpha * y * y + 2.0 * y * (1.0 + alpha) / s
-        h = (float(np.dot(2.0 * alpha, np.log(t))) - log_phi_r
-             - math.log(2.0 * y / s + y * y) - 2.0 * math.log(2.0 * y / s))
-        hp = (2.0 * float(np.sum(alpha**2 / (alpha * y + (1.0 + alpha) / s)))
-              - 2.0 * (y + 1.0 / s) / (y * (y + 2.0 / s)))
+        h = (a + float(np.dot(two_alpha, np.log1p(c / y))) - math.log1p(b / y)
+             + two_delta * (math.log(2.0) + 2.0 * math.log(y)))
+        hp = b / (y * (y + b)) - float(np.sum(k / (y * (y + c)))) + 2.0 * two_delta / y
         return h, hp
 
-    return fn
+    return fn, a
+
+
+def _rpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
+    """The rpower reduction on the norm of the radial block ``p``."""
+    _, s, zero = _radial_parts(p, rv)
+    if zero:
+        raise ValueError("rpower reduction needs a nonzero radial block")
+    return _rpower_reduction(cone.alpha, s, rv)[0]
 
 
 def _linf_reduction(p: float, r: np.ndarray):
@@ -179,16 +194,15 @@ def _rgeom_yminus(d2: int, s: float, m: float) -> float:
     return -1.0 / s + d2 * (s + math.sqrt(phi * ((d2 / s) ** 2 * phi + d2 * d2 - 1.0))) / denom
 
 
-def _rpower_tail_start(alpha: np.ndarray, s: float, log_cap: float) -> float | None:
+def _rpower_tail_start(alpha: np.ndarray, s: float, a: float) -> float | None:
     """Second lower bound on the radial-power root from the tail of h.
 
-    With a := h(inf) = 2 log(s / cap) < 0, the bounds log(1+x) <= x and
+    With a = h(inf) = 2 log(s / cap) < 0, the bounds log(1+x) <= x and
     log(1+x) >= x - x^2/2 give h(y) >= a + (2 d2 / s) / y - c2 / y^2, whose
     larger root lower-bounds the root of h.  Near the dual boundary this
     bound grows like d2 / (s o) and tracks the true root, where the
     equal-weight start does not.
     """
-    a = 2.0 * (math.log(s) - log_cap)
     if a >= 0.0:
         return None
     d2 = alpha.size
@@ -267,10 +281,10 @@ def _radial_gradient(cone, p, q, rv):
             # equal weights: y_minus is the exact root
             yhat = y_minus
         else:
-            log_cap = float(np.dot(alpha, np.log(rv / alpha)))
-            y_tail = _rpower_tail_start(alpha, s, log_cap)
+            fn, a = _rpower_reduction(alpha, s, rv)
+            y_tail = _rpower_tail_start(alpha, s, a)
             y0 = y_minus if y_tail is None else max(y_minus, y_tail)
-            res = newton_raphson(_rpower_h(cone, p, rv), y0, StopRule())
+            res = newton_raphson(fn, y0, StopRule())
             yhat = res.root
         gp = yhat * p / s
         gr = -(alpha * (1.0 + s * yhat) + 1.0) / rv
@@ -323,6 +337,22 @@ def _spectral(cone: ConeDescriptor, r: ConePoint):
     return dec.sigma, (dec.U, dec.V)
 
 
+def _dual_spectrum(cone: ConeDescriptor, r: ConePoint):
+    """``_spectral`` of a strictly interior dual point, decomposed once.
+
+    Membership is tested on the same spectrum the oracle uses; raises
+    ``ValueError`` on a malformed point and ``NotInteriorError`` outside the
+    open dual cone.
+    """
+    check_shape(cone, r)
+    rv, frames = _spectral(cone, r)
+    if not cone.rules.dual(cone, r.epi, r.persp, rv):
+        raise NotInteriorError(
+            f"dual point is not interior to the {cone.family.value} dual cone"
+        )
+    return rv, frames
+
+
 # --------------------------------------------------------------------------
 # public oracles
 # --------------------------------------------------------------------------
@@ -344,8 +374,7 @@ def lemma_h(cone: ConeDescriptor, r: ConePoint):
 
 def conjugate_gradient(cone: ConeDescriptor, r: ConePoint) -> ConjugateResult:
     """Gradient of the conjugate barrier at a strictly interior dual point."""
-    _require_dual_interior(cone, r)
-    rv, frames = _spectral(cone, r)
+    rv, frames = _dual_spectrum(cone, r)
     gp, gq, gr, res = _KERNELS[cone.rules.vector].gradient(cone, r.epi, r.persp, rv)
     if frames is None:
         g_star = ConePoint(epi=gp, persp=gq, vec=gr)
@@ -363,10 +392,9 @@ def conjugate_value(cone: ConeDescriptor, r: ConePoint) -> float:
     Closed forms exist for the log and geometric-mean families and their
     matrix lifts; every other family evaluates ``-nu - f(-g*(r))``.
     """
-    _require_dual_interior(cone, r)
     closed = _KERNELS[cone.rules.vector].value
     if closed is None:
         g_star = conjugate_gradient(cone, r).g_star
         return -cone.nu - barrier_value(cone, unpack(cone, -pack(cone, g_star)))
-    rv, _ = _spectral(cone, r)
+    rv, _ = _dual_spectrum(cone, r)
     return closed(r.epi, r.persp, rv)

@@ -44,6 +44,7 @@ from .cones import (
     ConeDescriptor,
     ConeFamily,
     ConePoint,
+    NotInteriorError,
     PowerParams,
     dual_in_interior,
     inner,
@@ -51,6 +52,7 @@ from .cones import (
     power_cap,
 )
 from .conjugate import conjugate_gradient
+from .linalg import NonPositiveDefiniteError
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
 
 __all__ = [
@@ -235,7 +237,7 @@ def run_grid(config: ExperimentConfig) -> list[IterationStats]:
                         spec = conjugate_gradient(cone, point)
                         gen, trace = generic_conjugate_gradient(
                             cone, point, eps=config.eps)
-                    except Exception:
+                    except (NotInteriorError, NonPositiveDefiniteError, RuntimeError):
                         failures += 1
                         continue
                     ok_generic = trace.status in (NewtonStatus.CONVERGED,

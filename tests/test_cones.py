@@ -71,6 +71,17 @@ class TestDescriptorValidation:
         with pytest.raises(ValueError):
             ConeDescriptor.lspec(5, 3)
 
+    @pytest.mark.parametrize("family, dims", [
+        (ConeFamily.LOG, {"d": 3, "d1": 7}),
+        (ConeFamily.LSPEC, {"d": 5, "d1": 2, "d2": 3}),
+        (ConeFamily.RGEOM, {"d": 2, "d1": 1, "d2": 3}),
+    ])
+    def test_rejects_dimension_the_family_does_not_read(self, family, dims):
+        # every field takes part in equality, so a stray one would make a
+        # second, unequal descriptor of the same cone
+        with pytest.raises(ValueError, match="takes no d"):
+            ConeDescriptor(family, **dims)
+
     def test_ambient_dims(self):
         assert ConeDescriptor.log(3).ambient_dim == 5
         assert ConeDescriptor.logdet(3).ambient_dim == 11

@@ -14,13 +14,14 @@ from conebarriers import (
     in_interior,
     inner,
     lemma_h,
+    newton_raphson,
     pack,
     sample_dual_point,
     svd,
     unpack,
     value,
 )
-from conftest import ALL_FAMILIES, interior_point, random_cone
+from conftest import ALL_FAMILIES, MATRIX_FAMILIES, interior_point, random_cone
 from test_scalars import bisect_omega
 
 OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -229,7 +230,7 @@ class TestLemmaH:
                 m = float(np.exp(np.dot(cone.alpha, np.log(rv))))
                 y_minus = _rgeom_yminus(cone.d2, s, m)
                 log_cap = float(np.dot(cone.alpha, np.log(rv / cone.alpha)))
-                y_tail = _rpower_tail_start(cone.alpha, s, log_cap)
+                y_tail = _rpower_tail_start(cone.alpha, s, 2.0 * (math.log(s) - log_cap))
                 y0 = y_minus if y_tail is None else max(y_minus, y_tail)
                 h0, _ = fn(y0)
                 assert h0 >= -1e-12
@@ -281,6 +282,45 @@ class TestLemmaH:
                     # h(y) lies between delta y + 1 and delta y + 1 + d
                     y = mp.findroot(h, (-(d + 1) / delta, -1 / delta), solver="anderson")
                     assert abs(yhat - y) <= 1e-10 * abs(y)
+
+    @pytest.mark.parametrize("o", [1e-12, 1e-9, 1e-6])
+    def test_rpower_root_is_backward_stable(self, o, rng, monkeypatch):
+        # the forward root error is about eps/o: h(inf) = a ~ -2o is a
+        # difference of O(1) logs.  What the binary64 root can promise is a
+        # small residual of the exact h of the same binary64 inputs, on the
+        # scale of the logs that make up a.  h is taken in its direct form,
+        # for the weights as given: they sum to 1 only within an ulp
+        import mpmath as mp
+
+        from conebarriers import conjugate
+
+        roots = []
+
+        def spy(fn, y0, stop):
+            res = newton_raphson(fn, y0, stop)
+            roots.append(res)
+            return res
+
+        monkeypatch.setattr(conjugate, "newton_raphson", spy)
+        eps = np.finfo(float).eps
+        for d in (2, 8, 24, 60):
+            for d1 in (1, 2, 3):
+                a = rng.uniform(0.05, 1.0, d)
+                cone = ConeDescriptor.rpower(d1, a / a.sum())
+                r = sample_dual_point(cone, o, rng)
+                res = conjugate_gradient(cone, r)
+                assert res.converged and res.iterations <= 8
+                with mp.workdps(50):
+                    y = mp.mpf(roots[-1].root)
+                    s = mp.sqrt(mp.fsum(mp.mpf(float(v)) ** 2 for v in r.epi))
+                    al = [mp.mpf(float(v)) for v in cone.alpha]
+                    rv = [mp.mpf(float(v)) for v in r.vec]
+                    h = (mp.fsum(2 * ai * mp.log(2 * ai * y * y + 2 * y * (1 + ai) / s)
+                                 - 2 * ai * mp.log(ri) for ai, ri in zip(al, rv))
+                         - mp.log(2 * y / s + y * y) - 2 * mp.log(2 * y / s))
+                    scale = abs(mp.log(s)) + mp.fsum(abs(ai * mp.log(ri / ai))
+                                                     for ai, ri in zip(al, rv))
+                    assert abs(h) <= 64 * eps * scale
 
 
 class TestRoundTrips:
@@ -417,3 +457,78 @@ class TestValidation:
         cap = 2.0 * np.exp(0.5 * np.log(1.0))
         with pytest.raises(NotInteriorError):
             conjugate_gradient(cone, ConePoint(epi=-cap, vec=np.array([1.0, 1.0])))
+
+    @pytest.mark.parametrize("family", MATRIX_FAMILIES)
+    def test_one_decomposition_per_call(self, family, rng, monkeypatch):
+        # membership is tested on the spectrum the oracle decomposes; no
+        # values-only decomposition runs beside it
+        from conebarriers import conjugate
+
+        cone = random_cone(family, rng)
+        r = sample_dual_point(cone, 1e-3, rng)
+        exterior = ConePoint(epi=-r.epi, persp=r.persp, mat=r.mat)
+        calls = []
+
+        def counted(fn):
+            def wrapper(a):
+                calls.append(fn.__name__)
+                return fn(a)
+            return wrapper
+
+        def no_values_only(*args, **kwargs):
+            raise AssertionError("values-only decomposition")
+
+        svd_full = np.linalg.svd
+
+        def svd_with_frames(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                no_values_only()
+            return svd_full(a, *args, **kwargs)
+
+        monkeypatch.setattr(conjugate, "sym_eigen", counted(conjugate.sym_eigen))
+        monkeypatch.setattr(conjugate, "svd", counted(conjugate.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_values_only)
+        monkeypatch.setattr(np.linalg, "svd", svd_with_frames)
+        for oracle in (conjugate_gradient, conjugate_value):
+            calls.clear()
+            oracle(cone, r)
+            assert len(calls) == 1
+            calls.clear()
+            with pytest.raises(NotInteriorError):
+                oracle(cone, exterior)
+            assert len(calls) == 1
+            if family != "lspec":
+                skew = r.mat.copy()
+                skew[0, -1] += 1e-3
+                with pytest.raises(ValueError, match="not symmetric"):
+                    oracle(cone, ConePoint(epi=r.epi, persp=r.persp, mat=skew))
+
+    @pytest.mark.parametrize("family", MATRIX_FAMILIES)
+    def test_membership_agrees_with_oracle_at_the_boundary(self, family, rng):
+        # the sampler accepts a point by dual_in_interior; the oracle must
+        # then accept it too, also within rounding of the boundary, so both
+        # must decompose R with the same routine
+        from conebarriers.conjugate import _dual_spectrum
+
+        cone = random_cone(family, rng, d=6)
+        for _ in range(10):
+            r = sample_dual_point(cone, 1e-3, rng)
+            # the boundary value of one scalar block, from a values-only
+            # decomposition
+            if family == "lspec":
+                block, edge = "epi", float(np.sum(np.linalg.svd(r.mat, compute_uv=False)))
+            elif family == "logdet":
+                lam, p = np.linalg.eigvalsh(r.mat), float(r.epi)
+                block, edge = "persp", p * float(np.sum(np.log(-lam / p))) + p * lam.size
+            else:
+                lam = np.linalg.eigvalsh(r.mat)
+                block, edge = "epi", -lam.size * float(np.exp(np.mean(np.log(lam))))
+            for x in edge + np.spacing(edge) * np.arange(-8, 9):
+                pt = ConePoint(epi=x if block == "epi" else r.epi,
+                               persp=x if block == "persp" else r.persp, mat=r.mat)
+                try:
+                    _dual_spectrum(cone, pt)
+                    accepted = True
+                except NotInteriorError:
+                    accepted = False
+                assert dual_in_interior(cone, pt) == accepted

@@ -8,6 +8,7 @@ from conebarriers import (
     ConePoint,
     ExperimentConfig,
     IterationStats,
+    NotInteriorError,
     conjugate_gradient,
     dual_in_interior,
     render_table,
@@ -183,6 +184,24 @@ class TestRunGrid:
         assert s.trials == 6
         # means computed over the surviving trials only
         assert math.isfinite(s.mean_iters_generic)
+
+    def test_only_trial_failures_are_counted(self, monkeypatch):
+        # a point outside the cone fails its trial; any other exception is
+        # a fault in the program and must not be counted away
+        import conebarriers.experiment as exp
+
+        def raising(exc):
+            def oracle(cone, r):
+                raise exc("synthetic")
+            return oracle
+
+        cfg = ExperimentConfig(cones=("linf",), dims=(4,), offsets=(1e-1,), trials=2)
+        monkeypatch.setattr(exp, "conjugate_gradient", raising(NotInteriorError))
+        (s,) = run_grid(cfg)
+        assert s.failures == 2
+        monkeypatch.setattr(exp, "conjugate_gradient", raising(ZeroDivisionError))
+        with pytest.raises(ZeroDivisionError):
+            run_grid(cfg)
 
 
 class TestRendering:
