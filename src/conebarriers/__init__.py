@@ -13,9 +13,6 @@ radial geometric mean, infinity norm, spectral norm):
   (:mod:`conebarriers.experiment`) with a ``conebench`` CLI.
 """
 
-# linalg first: it loads scipy, and loading scipy from inside the import of
-# cones (which imports linalg) made the package import about 30 ms slower
-# (2-core host, BLAS on one thread)
 from .linalg import (
     NonPositiveDefiniteError,
     SymEigen,
@@ -31,8 +28,6 @@ from .cones import (
     NotInteriorError,
     PowerParams,
     barrier_parameter,
-    dual_in_interior,
-    in_interior,
     inner,
     pack,
     unpack,
@@ -48,6 +43,7 @@ from .barriers import (
     gradient,
     hessian_apply,
     hessian_dense,
+    in_interior,
     inverse_hessian_apply,
     value,
 )
@@ -55,6 +51,7 @@ from .conjugate import (
     ConjugateResult,
     conjugate_gradient,
     conjugate_value,
+    dual_in_interior,
     lemma_h,
 )
 from .newton import (
@@ -79,14 +76,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeDescriptor", "ConeFamily", "ConePoint", "NotInteriorError",
-    "PowerParams", "barrier_parameter", "dual_in_interior", "in_interior",
-    "inner", "pack", "unpack",
+    "PowerParams", "barrier_parameter", "inner", "pack", "unpack",
     "NonPositiveDefiniteError", "SymEigen", "Svd", "cholesky_solve",
     "svd", "sym_eigen",
     "RootResult", "StopRule", "newton_raphson", "wright_omega",
     "BarrierWorkspace", "gradient", "hessian_apply", "hessian_dense",
-    "inverse_hessian_apply", "value",
-    "ConjugateResult", "conjugate_gradient", "conjugate_value", "lemma_h",
+    "in_interior", "inverse_hessian_apply", "value",
+    "ConjugateResult", "conjugate_gradient", "conjugate_value",
+    "dual_in_interior", "lemma_h",
     "DAMPED_THRESHOLD", "DEFAULT_EPS", "NewtonStatus", "NewtonTrace",
     "default_initial_point", "generic_conjugate_gradient",
     "local_norm_lambda",

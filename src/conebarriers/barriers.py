@@ -4,6 +4,8 @@ Each cone family gets a :class:`BarrierWorkspace` subclass that caches the
 intermediates shared by the oracles at a fixed interior point (the residual
 ``zeta`` of the defining inequality, power products, eigen or singular value
 decompositions).  Workspaces are valid only for the point they were built at.
+A workspace builds only at an interior point; :func:`in_interior` is that
+check.
 
 Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
 the family code reads blocks as views of packed float64 vectors and returns
@@ -14,10 +16,11 @@ with one, returns ``ConePoint`` results.
 A matrix family's workspace is its vector family's with a lift mixin
 (:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
 spectrum in place of the vector block and rotates the gradient back, so only
-the Hessians are written per matrix family.  They act on the full (not
-symmetrized) matrix space, where they remain symmetric positive definite;
-applied to symmetric directions they agree with the lifted vector-cone
-Hessians.
+the Hessians are written per matrix family; rtdet runs hgeom's weighted
+forms on the eigenvalues, with the equal weights ``1/d``.  The matrix
+Hessians act on the full (not symmetrized) matrix space, where they remain
+symmetric positive definite; applied to symmetric directions they agree with
+the lifted vector-cone Hessians.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
 factors the dense Hessian, which serves as a test oracle only.
@@ -61,6 +64,7 @@ from .linalg import cholesky_factor  # noqa: F401  # wrapped by perfbench/tracer
 
 __all__ = [
     "BarrierWorkspace",
+    "in_interior",
     "value",
     "gradient",
     "hessian_apply",
@@ -293,17 +297,10 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         self.alpha = self.cone.alpha
         if np.all(w > 0.0):
             self.lw = np.log(w)
-            self.phi = float(np.exp(self._log_phi()))
+            self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
             self.zeta = self.phi - u
         else:
             self.zeta = np.nan
-
-    def _log_phi(self):
-        return np.dot(self.alpha, self.lw)
-
-    def _phi_share(self) -> np.ndarray:
-        # phi's part of the w gradient, negated
-        return (self.phi / self.zeta) * self.alpha / self.w
 
     def _interior(self) -> bool:
         return np.all(self.w > 0.0) and self.zeta > 0.0
@@ -312,7 +309,8 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         return -np.log(self.zeta) - float(np.sum(self.lw))
 
     def _grad_parts(self):
-        return 1.0 / self.zeta, None, -self._phi_share() - 1.0 / self.w
+        gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
+        return 1.0 / self.zeta, None, gw
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, xw, _ = self.layout.blocks(x)
@@ -351,14 +349,6 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
 
 
 class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
-    # equal weights in rtdet's own rounding, which differs from hgeom's
-    # weighted forms in the last bit
-    def _log_phi(self):
-        return np.mean(self.lw)
-
-    def _phi_share(self) -> np.ndarray:
-        return (self.phi / self.w.size) / (self.zeta * self.w)
-
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, _, xm = self.layout.blocks(x)
         phi, zeta, d = self.phi, self.zeta, self.w.size
@@ -598,6 +588,20 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
 # --------------------------------------------------------------------------
 # module-level wrappers
 # --------------------------------------------------------------------------
+
+def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
+    """Strict membership in the open primal cone: whether the barrier
+    workspace builds at ``point``.
+
+    Boundary points classify as not interior.  A malformed point or a
+    non-symmetric matrix block raises ``ValueError``.
+    """
+    try:
+        BarrierWorkspace(cone, point)
+    except NotInteriorError:
+        return False
+    return True
+
 
 def value(cone: ConeDescriptor, point: ConePoint) -> float:
     """Barrier value ``f(point)``; raises away from the interior."""

@@ -1,4 +1,4 @@
-"""Cone descriptors, point containers, and membership tests.
+"""Cone descriptors, family rules and point containers.
 
 Nine cone families are supported.  Vector families:
 
@@ -18,12 +18,13 @@ Matrix families, the spectral lifts of ``log``, ``hgeom`` and ``linf``:
 * ``lspec``   — epigraph of the spectral norm of a ``d1 x d2`` matrix.
 
 Each family's rules (validation, block shapes, ``nu``, weights, canonical
-interior point, membership) are one :class:`FamilyRules` record in
-``RULES``.  A matrix family's record is its vector family's with a ``lift``
-that runs the rules on the eigenvalues or singular values of the matrix
-block; the oracles and the sampler lift the same way, with the same
-decomposition routines, so membership and the oracles classify a point
-alike to the last bit.
+interior point, the dual cone's defining inequality) are one
+:class:`FamilyRules` record in ``RULES``.  A matrix family's record is its
+vector family's with a ``lift`` that runs the rules on the eigenvalues or
+singular values of the matrix block; the oracles and the sampler lift the
+same way.  Membership is each oracle's own domain check:
+:func:`~.barriers.in_interior` in the barrier workspace and
+:func:`~.conjugate.dual_in_interior` in the conjugate oracles.
 
 A single :class:`ConePoint` container holds both primal and dual points.
 Slots pair positionally under the ambient inner product: a primal
@@ -45,8 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import svd, sym_eigen
-
 __all__ = [
     "ConeFamily",
     "PowerParams",
@@ -55,8 +54,6 @@ __all__ = [
     "PackedLayout",
     "NotInteriorError",
     "barrier_parameter",
-    "in_interior",
-    "dual_in_interior",
     "pack",
     "unpack",
     "inner",
@@ -173,7 +170,7 @@ def _equal_weights(n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# membership on the vector block, or on a matrix block's spectrum
+# dual membership on the vector block, or on a matrix block's spectrum
 # --------------------------------------------------------------------------
 
 def _scalar(epi) -> float:
@@ -182,11 +179,6 @@ def _scalar(epi) -> float:
 
 def _norm(epi) -> float:
     return float(np.linalg.norm(np.atleast_1d(epi)))
-
-
-def _log_primal(cone, epi, v, w) -> bool:
-    return (v > 0.0 and np.all(w > 0.0)
-            and _scalar(epi) < v * float(np.sum(np.log(w)) - w.size * np.log(v)))
 
 
 def _log_dual(cone, epi, q, r) -> bool:
@@ -199,25 +191,13 @@ def power_cap(alpha, r) -> float:
     return float(np.exp(np.dot(alpha, np.log(r / alpha))))
 
 
-def _power_primal(cone, epi, persp, w) -> bool:
-    return np.all(w > 0.0) and _scalar(epi) < float(np.exp(np.dot(cone.alpha, np.log(w))))
-
-
 def _power_dual(cone, epi, persp, r) -> bool:
     p = _scalar(epi)
     return p < 0.0 and np.all(r > 0.0) and -p < power_cap(cone.alpha, r)
 
 
-def _radial_primal(cone, epi, persp, w) -> bool:
-    return np.all(w > 0.0) and _norm(epi) < float(np.exp(np.dot(cone.alpha, np.log(w))))
-
-
 def _radial_dual(cone, epi, persp, r) -> bool:
     return np.all(r > 0.0) and _norm(epi) < power_cap(cone.alpha, r)
-
-
-def _linf_primal(cone, epi, persp, w) -> bool:
-    return _scalar(epi) > float(np.max(np.abs(w)))
 
 
 def _linf_dual(cone, epi, persp, r) -> bool:
@@ -243,14 +223,15 @@ class FamilyRules:
     ``n``), ``"equal"`` (``1/n``) or ``None``.  ``radial``: the leading block
     has length ``d1``.  ``persp`` adds a block and one to ``nu = n + 1``.
     ``canonical`` is the canonical interior point's ``(epi, persp, w_i)``.
-    ``primal`` and ``dual`` test strict membership from ``(cone, epi,
-    persp, w)``, ``w`` the vector block or spectrum.
+    ``dual`` is the dual cone's strict inequality on ``(cone, epi, persp,
+    r)``, ``r`` the vector block or spectrum, which the conjugate oracle
+    checks on the spectrum it decomposes; primal membership is the barrier
+    workspace's own domain check.
     """
 
     vector: ConeFamily
     size: str
     dims: Callable[[int], dict]
-    primal: Callable[..., bool]
     dual: Callable[..., bool]
     canonical: tuple
     weights: str | None = None
@@ -268,16 +249,15 @@ def _dims_square(n: int) -> dict:
     return {"d1": n, "d2": n}
 
 
-_LOG = FamilyRules(ConeFamily.LOG, "d", _dims_d, _log_primal, _log_dual,
-                   (-1.0, 1.0, 1.0), persp=True)
-_HPOWER = FamilyRules(ConeFamily.HPOWER, "d", _dims_d, _power_primal, _power_dual,
-                      (-1.0, None, 1.0), weights="given")
+_LOG = FamilyRules(ConeFamily.LOG, "d", _dims_d, _log_dual, (-1.0, 1.0, 1.0),
+                   persp=True)
+_HPOWER = FamilyRules(ConeFamily.HPOWER, "d", _dims_d, _power_dual, (-1.0, None, 1.0),
+                      weights="given")
 _HGEOM = replace(_HPOWER, vector=ConeFamily.HGEOM, weights="equal")
-_RPOWER = FamilyRules(ConeFamily.RPOWER, "d2", _dims_square, _radial_primal,
-                      _radial_dual, (0.0, None, 1.0), weights="given", radial=True,
+_RPOWER = FamilyRules(ConeFamily.RPOWER, "d2", _dims_square, _radial_dual,
+                      (0.0, None, 1.0), weights="given", radial=True,
                       check=(lambda c: c.d1 >= 1, "d1 must be >= 1"))
-_LINF = FamilyRules(ConeFamily.LINF, "d", _dims_d, _linf_primal, _linf_dual,
-                    (1.0, None, 0.0))
+_LINF = FamilyRules(ConeFamily.LINF, "d", _dims_d, _linf_dual, (1.0, None, 0.0))
 
 RULES: dict[ConeFamily, FamilyRules] = {
     ConeFamily.LOG: _LOG,
@@ -515,34 +495,3 @@ def canonical_point(cone: ConeDescriptor) -> ConePoint:
     if cone.mat_shape is None:
         return ConePoint(epi=epi, persp=persp, vec=np.full(cone.vec_dim, entry))
     return ConePoint(epi=epi, persp=persp, mat=entry * np.eye(*cone.mat_shape))
-
-
-def _spectrum(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
-    """The vector block, or the eigenvalues or singular values of the matrix
-    block, from the routines the barrier and conjugate oracles decompose
-    with: a values-only decomposition can differ in the last bits and flip
-    a point within rounding of the boundary."""
-    lift = cone.rules.lift
-    if lift is None:
-        return point.vec
-    if lift == "svd":
-        return svd(point.mat).sigma
-    return sym_eigen(point.mat).values
-
-
-def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
-    """Strict membership in the open primal cone.
-
-    Strictness is an exact floating-point inequality on the computed
-    quantities; boundary points classify as not interior.
-    """
-    check_shape(cone, point)
-    w = _spectrum(cone, point)
-    return bool(cone.rules.primal(cone, point.epi, point.persp, w))
-
-
-def dual_in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
-    """Strict membership in the open dual cone."""
-    check_shape(cone, point)
-    r = _spectrum(cone, point)
-    return bool(cone.rules.dual(cone, point.epi, point.persp, r))

@@ -30,6 +30,11 @@ Each vector family's g*, univariate reduction and closed-form f* form one
 record in ``_KERNELS``.  A matrix family runs its vector family's record on
 the spectrum of ``R`` (``FamilyRules.lift``) and rotates g* back through the
 eigen or singular frames.
+
+:func:`dual_in_interior` is the oracles' own domain check: the dual cone's
+inequality (``FamilyRules.dual``) on the spectrum they decompose.  Next to
+the boundary a kernel whose own slack rounds to zero or below raises
+``NotInteriorError`` too.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .cones import (
     ConePoint,
     NotInteriorError,
     check_shape,
-    dual_in_interior,  # noqa: F401  # wrapped by perfbench/tracer.py
     inner,
     pack,
     unpack,
@@ -59,6 +63,7 @@ __all__ = [
     "ConjugateResult",
     "conjugate_gradient",
     "conjugate_value",
+    "dual_in_interior",
     "lemma_h",
 ]
 
@@ -151,6 +156,8 @@ def _linf_reduction(p: float, r: np.ndarray):
     """
     a = np.abs(r)
     delta = math.fsum([p] + (-a).tolist())
+    if delta <= 0.0:
+        raise NotInteriorError("linf reduction: p - ||r||_1 is not positive")
     p_plus = p + float(np.sum(a))
 
     def fn(y: float):
@@ -179,6 +186,8 @@ def _log_parts(p: float, q: float, rv: np.ndarray):
     # the dual boundary; an exact sum keeps it to the accuracy of the logs
     beta = math.fsum([1.0, float(d), -q / p] + logs.tolist()) / d - math.log(d)
     wbar = d * wright_omega(beta)
+    if wbar <= 1.0:
+        raise NotInteriorError("log conjugate: dual slack wbar - 1 is not positive")
     denom = p * (1.0 - wbar)
     gq = -1.0 / denom
     gr = wbar / (rv * (1.0 - wbar))
@@ -252,6 +261,8 @@ def _hgeom_gradient(cone, p, q, rv):
     p = float(p)
     phi = float(np.exp(np.mean(np.log(rv))))
     den = phi + p / rv.size
+    if den <= 0.0:
+        raise NotInteriorError("hgeom conjugate: dual slack phi + p/d is not positive")
     return -1.0 / p - 1.0 / den, None, -phi / (rv * den), None
 
 
@@ -356,6 +367,20 @@ def _dual_spectrum(cone: ConeDescriptor, r: ConePoint):
 # --------------------------------------------------------------------------
 # public oracles
 # --------------------------------------------------------------------------
+
+def dual_in_interior(cone: ConeDescriptor, r: ConePoint) -> bool:
+    """Strict membership in the open dual cone: whether ``r`` passes the
+    conjugate oracles' domain check.
+
+    Boundary points classify as not interior.  A malformed point or a
+    non-symmetric matrix block raises ``ValueError``.
+    """
+    try:
+        _dual_spectrum(cone, r)
+    except NotInteriorError:
+        return False
+    return True
+
 
 def lemma_h(cone: ConeDescriptor, r: ConePoint):
     """Univariate root function (h, h') underlying this cone's conjugate.

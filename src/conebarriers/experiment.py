@@ -46,12 +46,11 @@ from .cones import (
     ConePoint,
     NotInteriorError,
     PowerParams,
-    dual_in_interior,
     inner,
     pack,  # noqa: F401  # wrapped by perfbench/tracer.py
     power_cap,
 )
-from .conjugate import conjugate_gradient
+from .conjugate import conjugate_gradient, dual_in_interior
 from .linalg import NonPositiveDefiniteError
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
 

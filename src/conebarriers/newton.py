@@ -32,18 +32,16 @@ from enum import Enum
 
 import numpy as np
 
-from .barriers import BarrierWorkspace
+from .barriers import BarrierWorkspace, in_interior
 from .cones import (
     ConeDescriptor,
     ConePoint,
     NotInteriorError,
     canonical_point,
-    dual_in_interior,
-    in_interior,
     pack,
     unpack,
 )
-from .conjugate import ConjugateResult
+from .conjugate import ConjugateResult, dual_in_interior
 from .linalg import NonPositiveDefiniteError
 
 __all__ = [

@@ -202,6 +202,41 @@ class TestMembership:
                 expect = t < 1.0
             assert in_interior(cone, probe) == expect, (fam, t)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_agrees_with_workspace_at_the_boundary(self, family, rng):
+        # membership is the barrier workspace's own domain check: with the
+        # leading block at 17 floats around its boundary value, in_interior
+        # accepts a point exactly when the workspace builds there
+        from conebarriers import BarrierWorkspace, NotInteriorError
+
+        for _ in range(20):
+            cone = random_cone(family, rng, d=6)
+            w = interior_point(cone, rng)
+            if cone.mat_shape is None:
+                lam = w.vec
+            elif family == "lspec":
+                lam = np.linalg.svd(w.mat, compute_uv=False)
+            else:
+                lam = np.linalg.eigvalsh(w.mat)
+            direction = 1.0
+            if family in ("log", "logdet"):
+                edge = w.persp * float(np.sum(np.log(lam / w.persp)))
+            elif family in ("linf", "lspec"):
+                edge = float(np.max(np.abs(lam)))
+            else:
+                edge = float(np.exp(np.dot(cone.alpha, np.log(lam))))
+                if family == "rpower":
+                    nrm = np.linalg.norm(w.epi)
+                    direction = w.epi / nrm if nrm > 0.0 else np.eye(cone.d1)[0]
+            for x in edge + np.spacing(edge) * np.arange(-8, 9):
+                pt = ConePoint(epi=x * direction, persp=w.persp, vec=w.vec, mat=w.mat)
+                try:
+                    BarrierWorkspace(cone, pt)
+                    builds = True
+                except NotInteriorError:
+                    builds = False
+                assert in_interior(cone, pt) == builds, (family, x)
+
 
 class TestPackUnpack:
     @pytest.mark.parametrize("family", ALL_FAMILIES)

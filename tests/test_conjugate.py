@@ -31,6 +31,27 @@ def neg(cone, point):
     return unpack(cone, -pack(cone, point))
 
 
+def dual_boundary_points(family, r):
+    """``r`` with one scalar block at 17 floats around its boundary value,
+    computed from a values-only decomposition of a matrix block."""
+    if family in ("logdet", "rtdet"):
+        lam = np.linalg.eigvalsh(r.mat)
+    elif family == "lspec":
+        lam = np.linalg.svd(r.mat, compute_uv=False)
+    else:
+        lam = r.vec
+    p = float(r.epi)
+    if family in ("log", "logdet"):
+        block, edge = "persp", p * float(np.sum(np.log(-lam / p))) + p * lam.size
+    elif family in ("linf", "lspec"):
+        block, edge = "epi", float(np.sum(np.abs(lam)))
+    else:
+        block, edge = "epi", -lam.size * float(np.exp(np.mean(np.log(lam))))
+    for x in edge + np.spacing(edge) * np.arange(-8, 9):
+        yield ConePoint(epi=x if block == "epi" else r.epi,
+                        persp=x if block == "persp" else r.persp, vec=r.vec, mat=r.mat)
+
+
 def roundtrip_error(cone, r):
     """|| -g(-g*(r)) - r || / (1 + ||r||)."""
     res = conjugate_gradient(cone, r)
@@ -513,22 +534,36 @@ class TestValidation:
         cone = random_cone(family, rng, d=6)
         for _ in range(10):
             r = sample_dual_point(cone, 1e-3, rng)
-            # the boundary value of one scalar block, from a values-only
-            # decomposition
-            if family == "lspec":
-                block, edge = "epi", float(np.sum(np.linalg.svd(r.mat, compute_uv=False)))
-            elif family == "logdet":
-                lam, p = np.linalg.eigvalsh(r.mat), float(r.epi)
-                block, edge = "persp", p * float(np.sum(np.log(-lam / p))) + p * lam.size
-            else:
-                lam = np.linalg.eigvalsh(r.mat)
-                block, edge = "epi", -lam.size * float(np.exp(np.mean(np.log(lam))))
-            for x in edge + np.spacing(edge) * np.arange(-8, 9):
-                pt = ConePoint(epi=x if block == "epi" else r.epi,
-                               persp=x if block == "persp" else r.persp, mat=r.mat)
+            for pt in dual_boundary_points(family, r):
                 try:
                     _dual_spectrum(cone, pt)
                     accepted = True
                 except NotInteriorError:
                     accepted = False
                 assert dual_in_interior(cone, pt) == accepted
+
+    def test_linf_slack_below_rounding_raises(self):
+        # ||r||_1 rounds to 1 below p = 1 + ulp, so membership accepts r, but
+        # its exact value exceeds p: the reduction's exact slack is negative
+        cone = ConeDescriptor.linf(4)
+        r = ConePoint(epi=1.0 + np.spacing(1.0), vec=np.array([1.0, 1e-16, 1e-16, 1e-16]))
+        assert dual_in_interior(cone, r)
+        with pytest.raises(NotInteriorError):
+            conjugate_gradient(cone, r)
+
+    @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "linf", "lspec"])
+    def test_accepted_boundary_points_give_finite_gradients(self, family, rng):
+        # next to the boundary a kernel's slack can round to the wrong sign
+        # at a point that membership accepts: the kernel must then raise
+        # NotInteriorError, not divide by zero or return a non-finite g*
+        for _ in range(20):
+            cone = random_cone(family, rng, d=6)
+            r = sample_dual_point(cone, 1e-3, rng)
+            for pt in dual_boundary_points(family, r):
+                if not dual_in_interior(cone, pt):
+                    continue
+                try:
+                    g_star = conjugate_gradient(cone, pt).g_star
+                except NotInteriorError:
+                    continue
+                assert np.all(np.isfinite(pack(cone, g_star))), family
