@@ -46,6 +46,7 @@ factor.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -102,16 +103,13 @@ class BarrierWorkspace:
         epi, persp, vec, mat = self.layout.blocks(x)
         # the point's vector or matrix block
         self.block = vec if mat is None else mat
-        self._prepare(epi, persp, self._spectrum(self.block))
-        if not self._interior():
-            raise NotInteriorError(
-                f"point is not in the interior of the {cone.family.value} cone"
-            )
+        if not self._prepare(epi, persp, self._spectrum(self.block)):
+            raise NotInteriorError(f"point is not in the interior of the {cone.family.value} cone")
 
     # subclasses implement _prepare(epi, persp, w) (w the vector block or
-    # spectrum)/_interior/value/_grad_parts/_hessian_apply/
-    # _inverse_hessian_apply/_hessian_dense on packed vectors; the public
-    # oracles below are the ConePoint edge
+    # spectrum), which returns whether the point is interior, and
+    # value/_grad_parts/_hessian_apply/_inverse_hessian_apply/_hessian_dense
+    # on packed vectors; the public oracles below are the ConePoint edge
 
     def _spectrum(self, block: np.ndarray) -> np.ndarray:
         return block
@@ -193,14 +191,13 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
 
     def _prepare(self, u, v, w):
         self.u, self.v, self.w = u, v, w
-        self.slog = float(np.sum(np.log(w))) if np.all(w > 0.0) else np.nan
-        self.phi = self.slog - w.size * np.log(v) if v > 0.0 else np.nan
-        self.zeta = v * self.phi - u if v > 0.0 else np.nan
+        if not (v > 0.0 and (w > 0.0).all()):
+            return False
+        self.slog = float(np.log(w).sum())
+        self.phi = self.slog - w.size * np.log(v)
+        self.zeta = v * self.phi - u
         self.sigma = self.phi - w.size
-
-    def _interior(self) -> bool:
-        return (self.v > 0.0 and np.all(self.w > 0.0)
-                and np.isfinite(self.zeta) and self.zeta > 0.0)
+        return math.isfinite(self.zeta) and self.zeta > 0.0
 
     def value(self) -> float:
         return -np.log(self.zeta) - np.log(self.v) - self.slog
@@ -219,7 +216,7 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         wb, v, zeta, sigma, d = self.block, self.v, self.zeta, self.sigma, self.w.size
         a = 1.0 / zeta
         c = 1.0 + v * a
-        tau = float(np.sum(wb * xb)) + v * d * xu
+        tau = float((wb * xb).sum()) + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
         yb = (self._wxw(xb) + (v * xu + a * yv) * wb) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
@@ -238,7 +235,7 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, xv, xw, _ = self.layout.blocks(x)
         v, w, zeta = self.v, self.w, self.zeta
-        dzeta, out_u, out_v = self._uv_rows(xu, xv, float(np.sum(xw / w)))
+        dzeta, out_u, out_v = self._uv_rows(xu, xv, float((xw / w).sum()))
         out_w = (-(xv / zeta - v * dzeta / zeta**2) / w
                  + (v / zeta) * xw / w**2 + xw / w**2)
         return self.layout.join(out_u, out_v, out_w)
@@ -295,18 +292,15 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def _prepare(self, u, _, w):
         self.u, self.w = u, w
         self.alpha = self.cone.alpha
-        if np.all(w > 0.0):
-            self.lw = np.log(w)
-            self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
-            self.zeta = self.phi - u
-        else:
-            self.zeta = np.nan
-
-    def _interior(self) -> bool:
-        return np.all(self.w > 0.0) and self.zeta > 0.0
+        if not (w > 0.0).all():
+            return False
+        self.lw = np.log(w)
+        self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
+        self.zeta = self.phi - u
+        return self.zeta > 0.0
 
     def value(self) -> float:
-        return -np.log(self.zeta) - float(np.sum(self.lw))
+        return -np.log(self.zeta) - float(self.lw.sum())
 
     def _grad_parts(self):
         gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
@@ -342,7 +336,7 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         k1 = 1.0 + (phi / zeta) * alpha
         dinv_a = alpha * w / k1
         dinv_b = (w**2 / k1) * (xw + (phi * xu) * a)
-        k3 = float(np.sum(alpha / k1)) + (1.0 - float(np.sum(alpha)))
+        k3 = float((alpha / k1).sum()) + self.cone.alpha_gap
         yw = dinv_b + ((phi / zeta) * float(np.dot(a, dinv_b)) / k3) * dinv_a
         yu = zeta**2 * xu + phi * float(np.dot(a, yw))
         return self.layout.join(yu, vec=yw)
@@ -371,7 +365,7 @@ class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
         c = 1.0 + a * phi / d
         beta = a * phi / d**2
         k = (phi / d) * xu
-        tau = float(np.sum(w * xm)) + d * k
+        tau = float((w * xm).sum()) + d * k
         ym = (w @ xm @ w + (k + beta * tau) * w) / c
         yu = (phi / d) * tau + zeta**2 * xu
         return self.layout.join(yu, mat=ym)
@@ -400,25 +394,22 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         self.u, self.w = np.atleast_1d(u), w
         self.alpha = self.cone.alpha
         self.nrm2 = float(np.dot(self.u, self.u))
-        if np.all(w > 0.0):
-            self.lw = np.log(w)
-            self.phi = float(np.exp(2.0 * np.dot(self.alpha, self.lw)))
-            self.zeta = self.phi - self.nrm2
-        else:
-            self.zeta = np.nan
-
-    def _interior(self) -> bool:
-        return np.all(self.w > 0.0) and self.zeta > 0.0
+        if not (w > 0.0).all():
+            return False
+        self.lw = np.log(w)
+        self.phi = float(np.exp(2.0 * np.dot(self.alpha, self.lw)))
+        self.zeta = self.phi - self.nrm2
+        if not self.zeta > 0.0:
+            return False
+        # the w block of the gradient, which the inverse Hessian reuses
+        self.gw = -2.0 * self.alpha * self.phi / (w * self.zeta) - (1.0 - self.alpha) / w
+        return True
 
     def value(self) -> float:
         return -np.log(self.zeta) - float(np.dot(1.0 - self.alpha, self.lw))
 
-    def _gw(self) -> np.ndarray:
-        return (-2.0 * self.alpha * self.phi / (self.w * self.zeta)
-                - (1.0 - self.alpha) / self.w)
-
     def _grad_parts(self):
-        return 2.0 * self.u / self.zeta, None, self._gw()
+        return 2.0 * self.u / self.zeta, None, self.gw
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, xw = x[self.layout.epi], x[self.layout.vec]
@@ -449,12 +440,12 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         # closed form derived by differentiating the conjugate-gradient map
         xu, z = x[self.layout.epi], x[self.layout.vec]
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
-        gw = self._gw()
+        gw = self.gw
         k1 = phi + self.nrm2
-        k2 = float(np.sum(alpha**2 / (w * gw)))
+        k2 = float((alpha**2 / (w * gw)).sum())
         k3 = k1 / (2.0 * phi) + 2.0 * k2 * self.nrm2 / zeta
         xu_u = float(np.dot(xu, u))
-        s = float(np.sum(alpha * z / gw))
+        s = float((alpha * z / gw).sum())
         out_u = 0.5 * zeta * xu - (u / k3) * (((2.0 * k2 * phi + zeta * k3) / k1) * xu_u + s)
         out_w = -(w / gw) * z - (alpha / (k3 * gw)) * (xu_u - (2.0 * self.nrm2 / zeta) * s)
         return self.layout.join(out_u, vec=out_w)
@@ -477,7 +468,7 @@ def _norm_arrowhead(u: float, s: np.ndarray, zi: np.ndarray, xu: float,
     """
     q = u * u + s * s
     e = 2.0 * u * s / q
-    yu = u * u * (xu + float(np.dot(e, xs))) / (1.0 + float(np.sum(zi / q)))
+    yu = u * u * (xu + float(np.dot(e, xs))) / (1.0 + float((zi / q).sum()))
     return yu, e
 
 
@@ -485,16 +476,14 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self, u, _, w):
         self.u, self.w = u, w
         self.zi = u**2 - w**2
-
-    def _interior(self) -> bool:
-        return self.u > 0.0 and np.all(self.zi > 0.0)
+        return u > 0.0 and (self.zi > 0.0).all()
 
     def value(self) -> float:
-        return -float(np.sum(np.log(self.zi))) + (self.w.size - 1) * np.log(self.u)
+        return -float(np.log(self.zi).sum()) + (self.w.size - 1) * np.log(self.u)
 
     def _grad_parts(self):
         d = self.w.size
-        gu = (d - 1) / self.u - 2.0 * self.u * float(np.sum(1.0 / self.zi))
+        gu = (d - 1) / self.u - 2.0 * self.u * float((1.0 / self.zi).sum())
         return gu, None, 2.0 * self.w / self.zi
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
@@ -502,7 +491,7 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         dz = 2.0 * u * xu - 2.0 * w * xw
-        out_u = -(d - 1) * xu / u**2 - float(np.sum(2.0 * xu / zi - 2.0 * u * dz / zi**2))
+        out_u = -(d - 1) * xu / u**2 - float((2.0 * xu / zi - 2.0 * u * dz / zi**2).sum())
         out_w = 2.0 * xw / zi - 2.0 * w * dz / zi**2
         return self.layout.join(out_u, vec=out_w)
 
@@ -510,7 +499,7 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         h = np.zeros((1 + d, 1 + d))
-        h[0, 0] = -(d - 1) / u**2 + float(np.sum(2.0 * (u**2 + w**2) / zi**2))
+        h[0, 0] = -(d - 1) / u**2 + float((2.0 * (u**2 + w**2) / zi**2).sum())
         h[0, 1:] = -4.0 * u * w / zi**2
         h[1:, 0] = h[0, 1:]
         idx = np.arange(1, 1 + d)
@@ -531,15 +520,15 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
         # entry of the Hessian, T^2 W and T W
         uu, zi, u = self.svd.U, self.zi, self.u
         t = (uu / zi) @ uu.T
-        huu = (-2.0 * float(np.sum(1.0 / zi)) - (self.w.size - 1) / u**2
-               + 4.0 * u**2 * float(np.sum(1.0 / zi**2)))
+        huu = (-2.0 * float((1.0 / zi).sum()) - (self.w.size - 1) / u**2
+               + 4.0 * u**2 * float((1.0 / zi**2).sum()))
         return t, huu, (uu * (self.w / zi**2)) @ self.svd.V.T, t @ self.block
 
     def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
         xu, _, _, xm = self.layout.blocks(x)
         u, w = self.u, self.block
         t, huu, t2w, tw = self._hess_parts()
-        out_u = huu * xu - 4.0 * u * float(np.sum(t2w * xm))
+        out_u = huu * xu - 4.0 * u * float((t2w * xm).sum())
         out_m = -4.0 * u * xu * (t @ tw) \
             + 2.0 * t @ (xm @ w.T + w @ xm.T) @ tw + 2.0 * t @ xm
         return self.layout.join(out_u, mat=out_m)
@@ -624,5 +613,5 @@ def inverse_hessian_apply(cone: ConeDescriptor, point: ConePoint, x: ConePoint) 
 
 
 def hessian_dense(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
-    """Dense Hessian in packed ambient coordinates (for tests and factorization)."""
+    """Dense Hessian in packed ambient coordinates (a test oracle)."""
     return BarrierWorkspace(cone, point).hessian_dense()

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -91,7 +91,7 @@ class PowerParams:
         a = np.asarray(self.alpha, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("alpha must be a non-empty 1-d vector")
-        if not np.all(a > 0.0):
+        if not (a > 0.0).all():
             raise ValueError("every alpha_i must be strictly positive")
         if abs(float(a.sum()) - 1.0) > _ALPHA_SUM_TOL:
             raise ValueError(
@@ -183,7 +183,7 @@ def _norm(epi) -> float:
 
 def _log_dual(cone, epi, q, r) -> bool:
     p = _scalar(epi)
-    return p < 0.0 and np.all(r > 0.0) and q > p * float(np.sum(np.log(-r / p))) + p * r.size
+    return p < 0.0 and (r > 0.0).all() and q > p * float(np.log(-r / p).sum()) + p * r.size
 
 
 def power_cap(alpha, r) -> float:
@@ -193,15 +193,15 @@ def power_cap(alpha, r) -> float:
 
 def _power_dual(cone, epi, persp, r) -> bool:
     p = _scalar(epi)
-    return p < 0.0 and np.all(r > 0.0) and -p < power_cap(cone.alpha, r)
+    return p < 0.0 and (r > 0.0).all() and -p < power_cap(cone.alpha, r)
 
 
 def _radial_dual(cone, epi, persp, r) -> bool:
-    return np.all(r > 0.0) and _norm(epi) < power_cap(cone.alpha, r)
+    return (r > 0.0).all() and _norm(epi) < power_cap(cone.alpha, r)
 
 
 def _linf_dual(cone, epi, persp, r) -> bool:
-    return _scalar(epi) > float(np.sum(np.abs(r)))
+    return _scalar(epi) > float(np.abs(r).sum())
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +366,7 @@ class ConeDescriptor:
         """Barrier parameter of the canonical barrier for this cone."""
         return float(self.spectrum_dim + (2 if self.has_persp else 1))
 
-    @property
+    @cached_property
     def alpha(self) -> np.ndarray:
         """Read-only simplex weights, materializing the implicit equal weights."""
         weights = self.rules.weights
@@ -375,6 +375,11 @@ class ConeDescriptor:
         if weights == "equal":
             return _equal_weights(self.spectrum_dim)
         raise AttributeError(f"{self.family.value} has no power parameters")
+
+    @cached_property
+    def alpha_gap(self) -> float:
+        """``1 - sum(alpha)``, nonzero only by the rounding of the weights."""
+        return 1.0 - float(self.alpha.sum())
 
     @property
     def vec_dim(self) -> int:

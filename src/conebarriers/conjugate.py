@@ -95,13 +95,13 @@ def _hpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
     alpha = cone.alpha
     log_phi_r = float(np.dot(alpha, np.log(rv)))
     pa = float(p) * alpha
-    lo = float(np.max(pa))
+    lo = float(pa.max())
 
     def fn(y: float):
         if y <= lo:
             raise ValueError("hpower reduction: y outside the domain of h")
         t = y - pa
-        return float(np.dot(alpha, np.log(t)) - log_phi_r), float(np.sum(alpha / t))
+        return float(np.dot(alpha, np.log(t)) - log_phi_r), float((alpha / t).sum())
 
     return fn
 
@@ -131,7 +131,7 @@ def _rpower_reduction(alpha: np.ndarray, s: float, rv: np.ndarray):
             raise ValueError("rpower reduction: y must be positive")
         h = (a + float(np.dot(two_alpha, np.log1p(c / y))) - math.log1p(b / y)
              + two_delta * (math.log(2.0) + 2.0 * math.log(y)))
-        hp = b / (y * (y + b)) - float(np.sum(k / (y * (y + c)))) + 2.0 * two_delta / y
+        hp = b / (y * (y + b)) - float((k / (y * (y + c))).sum()) + 2.0 * two_delta / y
         return h, hp
 
     return fn, a
@@ -158,15 +158,15 @@ def _linf_reduction(p: float, r: np.ndarray):
     delta = math.fsum([p] + (-a).tolist())
     if delta <= 0.0:
         raise NotInteriorError("linf reduction: p - ||r||_1 is not positive")
-    p_plus = p + float(np.sum(a))
+    p_plus = p + float(a.sum())
 
     def fn(y: float):
         t = a * abs(y)
         s = np.sqrt(1.0 + t * t)
         e = 1.0 / (s + t)
         if y <= 0.0:
-            return delta * y + 1.0 + float(np.sum(e)), delta + float(np.dot(a, e / s))
-        return p_plus * y + 1.0 + float(np.sum(e)), p + float(np.dot(a, t / s))
+            return delta * y + 1.0 + float(e.sum()), delta + float(np.dot(a, e / s))
+        return p_plus * y + 1.0 + float(e.sum()), p + float(np.dot(a, t / s))
 
     # both candidates bound the negative root from above (each comes from a
     # lower bound on h); the tighter one tracks the root as p approaches
@@ -216,7 +216,7 @@ def _rpower_tail_start(alpha: np.ndarray, s: float, a: float) -> float | None:
         return None
     d2 = alpha.size
     b = 2.0 * d2 / s
-    c2 = float(np.sum((1.0 + alpha) ** 2 / alpha)) / (s * s)
+    c2 = float(((1.0 + alpha) ** 2 / alpha).sum()) / (s * s)
     disc = b * b + 4.0 * a * c2
     if disc <= 0.0:
         return None
@@ -247,7 +247,7 @@ def _log_value(p, q, rv) -> float:
     wbar = _log_parts(p, float(q), rv)[3]
     return (-2.0 - d - 2.0 * math.log(-p)
             - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
-            - float(np.sum(np.log(rv))))
+            - float(np.log(rv).sum()))
 
 
 def _hpower_gradient(cone, p, q, rv):
@@ -259,7 +259,7 @@ def _hpower_gradient(cone, p, q, rv):
 
 def _hgeom_gradient(cone, p, q, rv):
     p = float(p)
-    phi = float(np.exp(np.mean(np.log(rv))))
+    phi = float(np.exp(np.log(rv).mean()))
     den = phi + p / rv.size
     if den <= 0.0:
         raise NotInteriorError("hgeom conjugate: dual slack phi + p/d is not positive")
@@ -268,9 +268,11 @@ def _hgeom_gradient(cone, p, q, rv):
 
 def _hgeom_value(p, q, rv) -> float:
     p, d = float(p), rv.size
-    phi = float(np.exp(np.mean(np.log(rv))))
+    phi = float(np.exp(np.log(rv).mean()))
+    if d * phi + p <= 0.0:
+        raise NotInteriorError("hgeom conjugate: dual slack d phi + p is not positive")
     return (-1.0 - d - d * math.log((d * phi + p) / (d * phi))
-            - math.log(-p) - float(np.sum(np.log(rv))))
+            - math.log(-p) - float(np.log(rv).sum()))
 
 
 def _radial_parts(p, rv):
@@ -304,7 +306,7 @@ def _radial_gradient(cone, p, q, rv):
 
 def _linf_gradient(cone, p, q, rv):
     p = float(p)
-    if not np.any(rv != 0.0):
+    if not (rv != 0.0).any():
         yhat, res = -(rv.size + 1.0) / p, None
     else:
         fn, y0 = _linf_reduction(p, rv)

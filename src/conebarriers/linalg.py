@@ -71,6 +71,9 @@ def sym_eigen(a: np.ndarray) -> SymEigen:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eigen: expected a square matrix")
+    # eigh reads only the lower triangle, and NaN or inf passes the test below
+    if not np.isfinite(a).all():
+        raise ValueError("sym_eigen: matrix is not finite")
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
         raise ValueError("sym_eigen: matrix is not symmetric")
@@ -86,6 +89,8 @@ def svd(a: np.ndarray) -> Svd:
     d1, d2 = a.shape
     if d1 > d2:
         raise ValueError("svd: requires d1 <= d2")
+    if not np.isfinite(a).all():
+        raise ValueError("svd: matrix is not finite")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     return Svd(U=u, sigma=sigma, V=vt.T.copy())
 

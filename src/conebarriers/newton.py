@@ -192,8 +192,7 @@ def generic_conjugate_gradient(
             status = NewtonStatus.STALLED
             break
 
-    if status in (NewtonStatus.STALLED, NewtonStatus.ITERATION_CAP,
-                  NewtonStatus.LEFT_INTERIOR):
+    if status is not NewtonStatus.CONVERGED:
         wf = best_wf
     g_star = unpack(cone, -wf)
     residual = abs(float(np.dot(-wf, rf)) + cone.nu)

@@ -237,6 +237,47 @@ class TestMembership:
                     builds = False
                 assert in_interior(cone, pt) == builds, (family, x)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_nan_entry_is_never_interior(self, family, rng):
+        # a NaN at any packed index, also in the strict upper triangle of a
+        # symmetric block, which eigh does not read: every oracle rejects
+        # the point with a ValueError (NotInteriorError is one) or returns
+        # False, and none builds or raises numpy's LinAlgError
+        from conebarriers import (
+            BarrierWorkspace,
+            conjugate_gradient,
+            conjugate_value,
+            generic_conjugate_gradient,
+            sample_dual_point,
+            value,
+        )
+
+        cone = random_cone(family, rng, d=3)
+        if family == "lspec":
+            cone = ConeDescriptor.lspec(3, 3)
+        primal = pack(cone, interior_point(cone, rng))
+        dual = pack(cone, sample_dual_point(cone, 1e-1, rng))
+        for i in range(cone.ambient_dim):
+            w, r = primal.copy(), dual.copy()
+            w[i] = r[i] = np.nan
+            wp, rp = unpack(cone, w), unpack(cone, r)
+            for name, call in (
+                ("in_interior", lambda: in_interior(cone, wp)),
+                ("workspace", lambda: BarrierWorkspace(cone, w)),
+                ("value", lambda: value(cone, wp)),
+                ("dual_in_interior", lambda: dual_in_interior(cone, rp)),
+                ("conjugate_gradient", lambda: conjugate_gradient(cone, rp)),
+                ("conjugate_value", lambda: conjugate_value(cone, rp)),
+                ("generic", lambda: generic_conjugate_gradient(cone, rp)),
+            ):
+                try:
+                    out = call()
+                except np.linalg.LinAlgError as exc:
+                    pytest.fail(f"{family} {name} index {i}: LinAlgError {exc}")
+                except ValueError:
+                    continue
+                assert out is False, (family, name, i)
+
 
 class TestPackUnpack:
     @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -50,6 +50,17 @@ class TestSymEigen:
         with pytest.raises(ValueError):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # eigh reads only the lower triangle, so an entry above it must be
+        # caught before the decomposition, where the symmetry test misses
+        # it (a NaN compares False, and inf <= inf holds)
+        for i, j in ((0, 2), (2, 0), (1, 1)):
+            a = np.eye(3)
+            a[i, j] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                sym_eigen(a)
+
 
 class TestSvd:
     def test_zero_matrix(self):
@@ -77,6 +88,15 @@ class TestSvd:
     def test_rejects_tall(self):
         with pytest.raises(ValueError):
             svd(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # numpy's LinAlgError would escape run_grid, which catches only the
+        # package's own error types
+        a = np.ones((2, 3))
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            svd(a)
 
 
 class TestCholeskySolve:
