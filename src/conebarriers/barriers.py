@@ -297,7 +297,8 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         self.lw = np.log(w)
         self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
         self.zeta = self.phi - u
-        return self.zeta > 0.0
+        # an infinite w_i or u makes zeta infinite
+        return math.isfinite(self.zeta) and self.zeta > 0.0
 
     def value(self) -> float:
         return -np.log(self.zeta) - float(self.lw.sum())
@@ -399,7 +400,7 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         self.lw = np.log(w)
         self.phi = float(np.exp(2.0 * np.dot(self.alpha, self.lw)))
         self.zeta = self.phi - self.nrm2
-        if not self.zeta > 0.0:
+        if not (math.isfinite(self.zeta) and self.zeta > 0.0):
             return False
         # the w block of the gradient, which the inverse Hessian reuses
         self.gw = -2.0 * self.alpha * self.phi / (w * self.zeta) - (1.0 - self.alpha) / w
@@ -476,7 +477,7 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self, u, _, w):
         self.u, self.w = u, w
         self.zi = u**2 - w**2
-        return u > 0.0 and (self.zi > 0.0).all()
+        return 0.0 < u < math.inf and (self.zi > 0.0).all()
 
     def value(self) -> float:
         return -float(np.log(self.zi).sum()) + (self.w.size - 1) * np.log(self.u)

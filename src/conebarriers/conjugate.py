@@ -350,16 +350,24 @@ def _spectral(cone: ConeDescriptor, r: ConePoint):
     return dec.sigma, (dec.U, dec.V)
 
 
+def _finite(x) -> bool:
+    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
+
+
 def _dual_spectrum(cone: ConeDescriptor, r: ConePoint):
     """``_spectral`` of a strictly interior dual point, decomposed once.
 
     Membership is tested on the same spectrum the oracle uses; raises
     ``ValueError`` on a malformed point and ``NotInteriorError`` outside the
-    open dual cone.
+    open dual cone.  A non-finite entry is outside: the dual rules compare
+    against sums and logs that an infinity satisfies.
     """
     check_shape(cone, r)
     rv, frames = _spectral(cone, r)
-    if not cone.rules.dual(cone, r.epi, r.persp, rv):
+    # a matrix block's spectrum is finite, or _spectral raised
+    finite = (_finite(r.epi) and (r.persp is None or _finite(r.persp))
+              and (frames is not None or _finite(rv)))
+    if not (finite and cone.rules.dual(cone, r.epi, r.persp, rv)):
         raise NotInteriorError(
             f"dual point is not interior to the {cone.family.value} dual cone"
         )

@@ -1,18 +1,20 @@
 """Dense linear algebra used by the matrix cones and the generic solver.
 
-Thin wrappers over LAPACK (via numpy/scipy) that enforce the contracts the
-rest of the package relies on: validated symmetry and descending spectra.
-:class:`NonPositiveDefiniteError` is the distinct error type of a failed
-positive-definiteness check; the generic Newton solver raises it for a
-non-finite local norm and reports that the iterate left the cone interior
-instead of crashing.
+Thin wrappers over LAPACK (via numpy, and scipy for Cholesky) that enforce
+the contracts the rest of the package relies on: validated symmetry and
+descending spectra.  :class:`NonPositiveDefiniteError` is the distinct error
+type of a failed positive-definiteness check; the generic Newton solver
+raises it for a non-finite local norm and reports that the iterate left the
+cone interior instead of crashing.
 
 No barrier solves with a Cholesky factorization: every family has a
 closed-form inverse Hessian.  The Cholesky routines solve with the dense
 Hessians, which serve as test oracles; they call ``dpotrf``/``dpotrs``
 directly, the same routines, with the same arguments, as
 ``scipy.linalg.cho_factor``/``cho_solve``, without the wrappers' per-call
-validation overhead.
+validation overhead.  scipy is imported on the first call: importing
+``scipy.linalg`` costs more than half of the package's cold start, and
+nothing else in the package uses it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "SymEigen",
@@ -103,6 +104,8 @@ def cholesky_factor(h: np.ndarray) -> np.ndarray:
     :class:`NonPositiveDefiniteError` when a pivot fails, which the Newton
     solver interprets as the evaluation point having left the cone interior.
     """
+    from scipy.linalg.lapack import dpotrf
+
     c, info = dpotrf(np.asarray(h, dtype=float), lower=1, clean=0)
     if info > 0:
         raise NonPositiveDefiniteError(
@@ -113,5 +116,7 @@ def cholesky_factor(h: np.ndarray) -> np.ndarray:
 
 def cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``H x = b`` for symmetric positive definite ``H``."""
+    from scipy.linalg.lapack import dpotrs
+
     x, _ = dpotrs(cholesky_factor(h), np.asarray(b, dtype=float), lower=1)
     return x

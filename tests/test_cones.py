@@ -278,6 +278,55 @@ class TestMembership:
                     continue
                 assert out is False, (family, name, i)
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_infinite_entry_is_never_interior(self, family, inf, rng):
+        # +-inf at any packed index of the canonical primal point or of a
+        # sampled dual point: membership returns False and every oracle
+        # raises NotInteriorError; in a matrix block the decomposition's
+        # finite check raises ValueError first
+        from conebarriers import (
+            BarrierWorkspace,
+            NotInteriorError,
+            conjugate_gradient,
+            conjugate_value,
+            generic_conjugate_gradient,
+            gradient,
+            sample_dual_point,
+            value,
+        )
+        from conebarriers.cones import canonical_point
+
+        cone = random_cone(family, rng, d=3)
+        if family == "lspec":
+            cone = ConeDescriptor.lspec(3, 3)
+        primal = pack(cone, canonical_point(cone))
+        dual = pack(cone, sample_dual_point(cone, 1e-1, rng))
+        mat = cone.layout.mat
+        for i in range(cone.ambient_dim):
+            w, r = primal.copy(), dual.copy()
+            w[i] = r[i] = inf
+            wp, rp = unpack(cone, w), unpack(cone, r)
+            in_mat = mat is not None and i >= mat.start
+            for name, call, is_membership in (
+                ("in_interior", lambda: in_interior(cone, wp), True),
+                ("dual_in_interior", lambda: dual_in_interior(cone, rp), True),
+                ("workspace", lambda: BarrierWorkspace(cone, w), False),
+                ("value", lambda: value(cone, wp), False),
+                ("gradient", lambda: gradient(cone, wp), False),
+                ("conjugate_gradient", lambda: conjugate_gradient(cone, rp), False),
+                ("conjugate_value", lambda: conjugate_value(cone, rp), False),
+                ("generic", lambda: generic_conjugate_gradient(cone, rp), False),
+            ):
+                if in_mat:
+                    with pytest.raises(ValueError, match="not finite"):
+                        call()
+                elif is_membership:
+                    assert call() is False, (family, name, i)
+                else:
+                    with pytest.raises(NotInteriorError):
+                        call()
+
 
 class TestPackUnpack:
     @pytest.mark.parametrize("family", ALL_FAMILIES)

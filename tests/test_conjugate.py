@@ -551,6 +551,29 @@ class TestValidation:
         with pytest.raises(NotInteriorError):
             conjugate_gradient(cone, r)
 
+    def test_lspec_slack_within_spectrum_rounding_rejected(self):
+        # p - sum(sigma) within the rounding of computed singular values
+        # certifies nothing: the start -1/delta then met the stop rule with
+        # |<g*, r> + nu| up to 13, and -g* could leave the primal cone.  At
+        # every point the dual check accepts, the slack exceeds the bound, g*
+        # pairs with r to a fraction of nu, and f* evaluates
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            cone = random_cone("lspec", rng, d=6)
+            r = sample_dual_point(cone, 1e-3, rng)
+            for pt in dual_boundary_points("lspec", r):
+                if not dual_in_interior(cone, pt):
+                    with pytest.raises(NotInteriorError):
+                        conjugate_gradient(cone, pt)
+                    continue
+                sigma = svd(pt.mat).sigma
+                assert pt.epi - float(np.sum(sigma)) > 8.0 * cone.d1 * eps * sigma[0]
+                res = conjugate_gradient(cone, pt)
+                assert res.converged
+                assert res.residual <= 0.25 * cone.nu
+                assert math.isfinite(conjugate_value(cone, pt))
+
     @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "linf", "lspec"])
     def test_accepted_boundary_points_give_finite_gradients(self, family, rng):
         # next to the boundary a kernel's slack can round to the wrong sign

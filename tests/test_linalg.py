@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import conebarriers
 from conebarriers import (
     NonPositiveDefiniteError,
     cholesky_solve,
@@ -130,3 +136,48 @@ class TestCholeskySolve:
         h = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NonPositiveDefiniteError):
             cholesky_solve(h, np.ones(2))
+
+
+# every family's oracles, generic Newton and a one-cell grid in a fresh
+# interpreter; only the dense test oracle cholesky_solve may load scipy
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import conebarriers as cb
+from conebarriers.cones import canonical_point
+
+cones = [cb.ConeDescriptor.log(3), cb.ConeDescriptor.logdet(3),
+         cb.ConeDescriptor.hpower([0.2, 0.3, 0.5]), cb.ConeDescriptor.hgeom(3),
+         cb.ConeDescriptor.rtdet(3), cb.ConeDescriptor.rpower(2, [0.2, 0.3, 0.5]),
+         cb.ConeDescriptor.rgeom(3), cb.ConeDescriptor.linf(3),
+         cb.ConeDescriptor.lspec(2, 3)]
+assert len({c.family for c in cones}) == len(cb.ConeFamily)
+rng = np.random.default_rng(0)
+for cone in cones:
+    w = canonical_point(cone)
+    r = cb.sample_dual_point(cone, 1e-3, rng)
+    assert cb.in_interior(cone, w) and cb.dual_in_interior(cone, r)
+    cb.value(cone, w)
+    g = cb.gradient(cone, w)
+    cb.hessian_apply(cone, w, g)
+    cb.inverse_hessian_apply(cone, w, g)
+    cb.hessian_dense(cone, w)
+    cb.conjugate_gradient(cone, r)
+    cb.conjugate_value(cone, r)
+    cb.generic_conjugate_gradient(cone, r)
+    cell = cb.ExperimentConfig(cones=(cone.family.value,), dims=(3,),
+                               offsets=(1e-3,), trials=1)
+    assert cb.run_grid(cell)[0].failures == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestColdStart:
+    def test_oracles_run_without_scipy(self):
+        src = str(Path(conebarriers.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
