@@ -18,13 +18,13 @@ Matrix families, the spectral lifts of ``log``, ``hgeom`` and ``linf``:
 * ``lspec``   — epigraph of the spectral norm of a ``d1 x d2`` matrix.
 
 Each family's rules (validation, block shapes, ``nu``, weights, canonical
-interior point, the dual cone's defining inequality) are one
-:class:`FamilyRules` record in ``RULES``.  A matrix family's record is its
-vector family's with a ``lift`` that runs the rules on the eigenvalues or
-singular values of the matrix block; the oracles and the sampler lift the
-same way.  Membership is each oracle's own domain check:
-:func:`~.barriers.in_interior` in the barrier workspace and
-:func:`~.conjugate.dual_in_interior` in the conjugate oracles.
+interior point) are one :class:`FamilyRules` record in ``RULES``.  A matrix
+family's record is its vector family's with a ``lift`` that runs the rules
+on the eigenvalues or singular values of the matrix block; the oracles and
+the sampler lift the same way.  No cone's inequality is written here:
+membership is each oracle's own domain check, :func:`~.barriers.in_interior`
+in the barrier workspace and :func:`~.conjugate.dual_in_interior` in the g*
+kernel.
 
 A single :class:`ConePoint` container holds both primal and dual points.
 Slots pair positionally under the ambient inner product: a primal
@@ -60,12 +60,6 @@ __all__ = [
 ]
 
 _ALPHA_SUM_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
-# lspec's dual slack p - sum(sigma) must exceed this many eps * d1 * sigma_max:
-# each computed singular value is off by up to 4.4 eps sigma_max against a
-# 40-digit SVD (600 sampled and graded matrices, d1 <= 4), and their float
-# sum by up to 1.8 d1 eps sigma_max; 8 leaves a margin over both
-_SVD_SLACK_FACTOR = 8.0
 
 
 class NotInteriorError(ValueError):
@@ -176,47 +170,6 @@ def _equal_weights(n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# dual membership on the vector block, or on a matrix block's spectrum
-# --------------------------------------------------------------------------
-
-def _scalar(epi) -> float:
-    return float(epi.reshape(())) if isinstance(epi, np.ndarray) else float(epi)
-
-
-def _norm(epi) -> float:
-    return float(np.linalg.norm(np.atleast_1d(epi)))
-
-
-def _log_dual(cone, epi, q, r) -> bool:
-    p = _scalar(epi)
-    return p < 0.0 and (r > 0.0).all() and q > p * float(np.log(-r / p).sum()) + p * r.size
-
-
-def power_cap(alpha, r) -> float:
-    # prod (r_i / alpha_i)^alpha_i, the dual cone's bound
-    return float(np.exp(np.dot(alpha, np.log(r / alpha))))
-
-
-def _power_dual(cone, epi, persp, r) -> bool:
-    p = _scalar(epi)
-    return p < 0.0 and (r > 0.0).all() and -p < power_cap(cone.alpha, r)
-
-
-def _radial_dual(cone, epi, persp, r) -> bool:
-    return (r > 0.0).all() and _norm(epi) < power_cap(cone.alpha, r)
-
-
-def _linf_dual(cone, epi, persp, r) -> bool:
-    slack = _scalar(epi) - float(np.abs(r).sum())
-    if cone.rules.lift is None:
-        return slack > 0.0
-    # computed singular values are exact for a perturbation of R of norm a
-    # few eps sigma_max (Weyl), so a slack inside the summed rounding bound
-    # does not certify p > ||R||_*
-    return slack > _SVD_SLACK_FACTOR * r.size * _EPS * float(r[0])
-
-
-# --------------------------------------------------------------------------
 # one record per family
 # --------------------------------------------------------------------------
 
@@ -235,16 +188,14 @@ class FamilyRules:
     ``n``), ``"equal"`` (``1/n``) or ``None``.  ``radial``: the leading block
     has length ``d1``.  ``persp`` adds a block and one to ``nu = n + 1``.
     ``canonical`` is the canonical interior point's ``(epi, persp, w_i)``.
-    ``dual`` is the dual cone's strict inequality on ``(cone, epi, persp,
-    r)``, ``r`` the vector block or spectrum, which the conjugate oracle
-    checks on the spectrum it decomposes; primal membership is the barrier
-    workspace's own domain check.
+    Neither cone's inequality is here: primal membership is the barrier
+    workspace's own domain check, and dual membership the domain step of
+    the family's g* kernel in :mod:`~.conjugate`.
     """
 
     vector: ConeFamily
     size: str
     dims: Callable[[int], dict]
-    dual: Callable[..., bool]
     canonical: tuple
     weights: str | None = None
     persp: bool = False
@@ -261,15 +212,13 @@ def _dims_square(n: int) -> dict:
     return {"d1": n, "d2": n}
 
 
-_LOG = FamilyRules(ConeFamily.LOG, "d", _dims_d, _log_dual, (-1.0, 1.0, 1.0),
-                   persp=True)
-_HPOWER = FamilyRules(ConeFamily.HPOWER, "d", _dims_d, _power_dual, (-1.0, None, 1.0),
-                      weights="given")
+_LOG = FamilyRules(ConeFamily.LOG, "d", _dims_d, (-1.0, 1.0, 1.0), persp=True)
+_HPOWER = FamilyRules(ConeFamily.HPOWER, "d", _dims_d, (-1.0, None, 1.0), weights="given")
 _HGEOM = replace(_HPOWER, vector=ConeFamily.HGEOM, weights="equal")
-_RPOWER = FamilyRules(ConeFamily.RPOWER, "d2", _dims_square, _radial_dual,
-                      (0.0, None, 1.0), weights="given", radial=True,
+_RPOWER = FamilyRules(ConeFamily.RPOWER, "d2", _dims_square, (0.0, None, 1.0),
+                      weights="given", radial=True,
                       check=(lambda c: c.d1 >= 1, "d1 must be >= 1"))
-_LINF = FamilyRules(ConeFamily.LINF, "d", _dims_d, _linf_dual, (1.0, None, 0.0))
+_LINF = FamilyRules(ConeFamily.LINF, "d", _dims_d, (1.0, None, 0.0))
 
 RULES: dict[ConeFamily, FamilyRules] = {
     ConeFamily.LOG: _LOG,

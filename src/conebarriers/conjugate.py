@@ -9,32 +9,25 @@ root found by a guarded Newton-Raphson iteration:
   - log prod_i r_i**alpha_i`` started at 0 (h is increasing and concave, so
   the iterates increase monotonically to the root).
 * hgeom / rtdet       — closed form (equal-weight specialization).
-* rpower              — after reducing the radial block to its norm s, the
-  positive root of the decreasing convex ``h(y) = a + sum 2 alpha_i
-  log1p(c_i / y) - log1p(b / y)`` with ``a = 2 (log s - log cap) < 0``,
-  ``c_i = (1 + alpha_i)/(s alpha_i)`` and ``b = 2/s``.  The ``log y`` parts
-  of the direct form's logs cancel exactly and are left out (but for a term
-  in the weights' rounded sum), so near the dual boundary every term is of
-  size o and plain binary64 resolves h.  The start is the larger of two
-  proven lower bounds of the root: the equal-weight solution ``y_minus`` and
-  a tail-expansion bound that stays tight near the dual boundary.
+* rpower              — positive root of a decreasing convex h in the norm
+  s of the radial block (``_rpower_reduction``), whose terms are all of
+  size o near the dual boundary, started at the larger of two proven lower
+  bounds: the equal-weight solution ``y_minus`` and a tail-expansion bound.
 * rgeom               — closed form (``y_minus`` is the exact root).
-* linf / lspec        — negative root of ``h(y) = p y
-  + sum_i sqrt(1 + r_i^2 y^2) + 1``.  Close to the dual boundary ``p y``
-  nearly cancels the square roots, so each root is split as
-  ``|r_i| |y| + e_i`` and the linear parts are gathered into
-  ``(p - ||r||_1) y`` with ``p - ||r||_1`` rounded once; what is left is a
-  sum of positive terms, accurate in plain binary64.
+* linf / lspec        — negative root of ``h(y) = p y + sum_i sqrt(1 +
+  r_i^2 y^2) + 1``, written as a sum of positive terms
+  (``_linf_reduction``) so that ``p y`` cancels nothing near the boundary.
 
-Each vector family's g*, univariate reduction and closed-form f* form one
-record in ``_KERNELS``.  A matrix family runs its vector family's record on
-the spectrum of ``R`` (``FamilyRules.lift``) and rotates g* back through the
-eigen or singular frames.
+Each vector family's domain step, g*, univariate reduction and closed-form
+f* form one record in ``_KERNELS``.  A matrix family runs its vector
+family's record on the spectrum of ``R`` (``FamilyRules.lift``) and rotates
+g* back through the eigen or singular frames.
 
-:func:`dual_in_interior` is the oracles' own domain check: the dual cone's
-inequality (``FamilyRules.dual``) on the spectrum they decompose.  Next to
-the boundary a kernel whose own slack rounds to zero or below raises
-``NotInteriorError`` too.
+The domain step is the only test of the dual cone's inequality: it computes
+the family's slack once, in the form its kernel uses, raises
+``NotInteriorError`` unless it is positive, and hands it to the gradient,
+the reduction and the closed-form f*.  :func:`dual_in_interior` is true
+exactly when the domain step passes.
 """
 
 from __future__ import annotations
@@ -51,8 +44,6 @@ from .cones import (
     ConeFamily,
     ConePoint,
     NotInteriorError,
-    check_shape,
-    inner,
     pack,
     unpack,
 )
@@ -70,6 +61,11 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # below this, the radial block of a dual point is treated as exactly zero
 _RADIAL_ZERO_FACTOR = 1e2 * _EPS
+# lspec's dual slack p - sum(sigma) must exceed this many eps * d1 * sigma_max:
+# each computed singular value is off by up to 4.4 eps sigma_max against a
+# 40-digit SVD (600 sampled and graded matrices, d1 <= 4), and their float
+# sum by up to 1.8 d1 eps sigma_max; 8 leaves a margin over both
+_SVD_SLACK_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -87,14 +83,14 @@ class ConjugateResult:
 
 
 # --------------------------------------------------------------------------
-# univariate reductions
+# univariate reductions, start points and closed-form roots
 # --------------------------------------------------------------------------
 
-def _hpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
+def _hpower_h(cone: ConeDescriptor, p, q, rv: np.ndarray, _=None):
     """h(y) = sum alpha_i log(y - p alpha_i) - log phi(r), increasing, concave."""
     alpha = cone.alpha
     log_phi_r = float(np.dot(alpha, np.log(rv)))
-    pa = float(p) * alpha
+    pa = p * alpha
     lo = float(pa.max())
 
     def fn(y: float):
@@ -117,7 +113,7 @@ def _rpower_reduction(alpha: np.ndarray, s: float, rv: np.ndarray):
     in exact arithmetic, but binary64 weights sum to 1 only within an ulp,
     and dropping its term moves the root by up to 1e-2 relative at
     o = 1e-12.
-    Returns the (h, h') callback, valid for y > 0, and ``a``.
+    Returns the (h, h') callback, valid for y > 0, ``a`` and ``2 delta``.
     """
     a = 2.0 * (math.log(s) - float(np.dot(alpha, np.log(rv / alpha))))
     two_alpha = 2.0 * alpha
@@ -134,30 +130,28 @@ def _rpower_reduction(alpha: np.ndarray, s: float, rv: np.ndarray):
         hp = b / (y * (y + b)) - float((k / (y * (y + c))).sum()) + 2.0 * two_delta / y
         return h, hp
 
-    return fn, a
+    return fn, a, two_delta
 
 
-def _rpower_h(cone: ConeDescriptor, p, rv: np.ndarray):
+def _rpower_h(cone: ConeDescriptor, p, q, rv: np.ndarray, root):
     """The rpower reduction on the norm of the radial block ``p``."""
-    _, s, zero = _radial_parts(p, rv)
-    if zero:
+    _, s, fn, y = root
+    if y is None:
         raise ValueError("rpower reduction needs a nonzero radial block")
-    return _rpower_reduction(cone.alpha, s, rv)[0]
+    return fn or _rpower_reduction(cone.alpha, s, rv)[0]
 
 
-def _linf_reduction(p: float, r: np.ndarray):
+def _linf_reduction(p: float, r: np.ndarray, delta: float):
     """Cancellation-free h(y) = p y + sum sqrt(1 + r_i^2 y^2) + 1, and its start.
 
     With a = |r|, t = a |y|, s = sqrt(1 + t^2) and e = 1/(s + t), each root
     is a |y| + e.  For y <= 0 the linear parts sum to delta y, where
-    delta = p - ||r||_1 is correctly rounded, so h = delta y + 1 + sum e and
-    h' = delta + sum a e / s add only positive terms; zero entries give e = 1.
+    delta = p - ||r||_1 > 0 is the domain step's correctly rounded slack, so
+    h = delta y + 1 + sum e and h' = delta + sum a e / s add only positive
+    terms; zero entries give e = 1.
     Returns the (h, h') callback, valid for every real y, and the Newton start.
     """
     a = np.abs(r)
-    delta = math.fsum([p] + (-a).tolist())
-    if delta <= 0.0:
-        raise NotInteriorError("linf reduction: p - ||r||_1 is not positive")
     p_plus = p + float(a.sum())
 
     def fn(y: float):
@@ -175,31 +169,18 @@ def _linf_reduction(p: float, r: np.ndarray):
     return fn, y0
 
 
-# --------------------------------------------------------------------------
-# per-family conjugate gradients on spectra
-# --------------------------------------------------------------------------
-
-def _log_parts(p: float, q: float, rv: np.ndarray):
-    d = rv.size
-    logs = np.log(-rv / p)
-    # the slack of beta over its boundary value is a fine cancellation near
-    # the dual boundary; an exact sum keeps it to the accuracy of the logs
-    beta = math.fsum([1.0, float(d), -q / p] + logs.tolist()) / d - math.log(d)
-    wbar = d * wright_omega(beta)
-    if wbar <= 1.0:
-        raise NotInteriorError("log conjugate: dual slack wbar - 1 is not positive")
-    denom = p * (1.0 - wbar)
-    gq = -1.0 / denom
-    gr = wbar / (rv * (1.0 - wbar))
-    # recover the leading component from <g*, r> = -nu, which it must satisfy
-    gp = math.fsum([-float(d) - 2.0, -q * gq] + (-rv * gr).tolist()) / p
-    return gp, gq, gr, wbar
+def power_cap(alpha, r) -> float:
+    """``prod (r_i / alpha_i)^alpha_i``, the dual cone's bound on ``-p``
+    (hpower) or ``||p||`` (rpower)."""
+    return float(np.exp(np.dot(alpha, np.log(r / alpha))))
 
 
 def _rgeom_yminus(d2: int, s: float, m: float) -> float:
-    # m = prod r_i^alpha_i, phi = m^2; factored denominator avoids squaring
+    # m = prod r_i^alpha_i, phi = m^2; factored denominator avoids squaring;
+    # its factor m d2 - s is rgeom's dual slack
     phi = m * m
     denom = (m * d2 - s) * (m * d2 + s)
+    _require(denom > 0.0, "rgeom", "m d2 - s")
     return -1.0 / s + d2 * (s + math.sqrt(phi * ((d2 / s) ** 2 * phi + d2 * d2 - 1.0))) / denom
 
 
@@ -212,8 +193,6 @@ def _rpower_tail_start(alpha: np.ndarray, s: float, a: float) -> float | None:
     bound grows like d2 / (s o) and tracks the true root, where the
     equal-weight start does not.
     """
-    if a >= 0.0:
-        return None
     d2 = alpha.size
     b = 2.0 * d2 / s
     c2 = float(((1.0 + alpha) ** 2 / alpha).sum()) / (s * s)
@@ -233,48 +212,6 @@ def _linf_gr(yhat: float, rv: np.ndarray) -> np.ndarray:
     return rv * yhat**2 / (np.sqrt(1.0 + x2) + 1.0)
 
 
-# --------------------------------------------------------------------------
-# vector kernels: (cone, p, q, r) -> (g_p, g_q, g_r, RootResult or None)
-# --------------------------------------------------------------------------
-
-def _log_gradient(cone, p, q, rv):
-    gp, gq, gr, _ = _log_parts(float(p), float(q), rv)
-    return gp, gq, gr, None
-
-
-def _log_value(p, q, rv) -> float:
-    p, d = float(p), rv.size
-    wbar = _log_parts(p, float(q), rv)[3]
-    return (-2.0 - d - 2.0 * math.log(-p)
-            - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
-            - float(np.log(rv).sum()))
-
-
-def _hpower_gradient(cone, p, q, rv):
-    p = float(p)
-    res = newton_raphson(_hpower_h(cone, p, rv), 0.0, StopRule())
-    yhat = res.root
-    return -1.0 / p - 1.0 / yhat, None, (p * cone.alpha / yhat - 1.0) / rv, res
-
-
-def _hgeom_gradient(cone, p, q, rv):
-    p = float(p)
-    phi = float(np.exp(np.log(rv).mean()))
-    den = phi + p / rv.size
-    if den <= 0.0:
-        raise NotInteriorError("hgeom conjugate: dual slack phi + p/d is not positive")
-    return -1.0 / p - 1.0 / den, None, -phi / (rv * den), None
-
-
-def _hgeom_value(p, q, rv) -> float:
-    p, d = float(p), rv.size
-    phi = float(np.exp(np.log(rv).mean()))
-    if d * phi + p <= 0.0:
-        raise NotInteriorError("hgeom conjugate: dual slack d phi + p is not positive")
-    return (-1.0 - d - d * math.log((d * phi + p) / (d * phi))
-            - math.log(-p) - float(np.log(rv).sum()))
-
-
 def _radial_parts(p, rv):
     """Radial block as a vector, its norm, and whether it counts as zero."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -282,34 +219,156 @@ def _radial_parts(p, rv):
     return p, s, s <= _RADIAL_ZERO_FACTOR * float(np.linalg.norm(np.append(p, rv)))
 
 
-def _radial_gradient(cone, p, q, rv):
+# --------------------------------------------------------------------------
+# domain steps: (cone, p, q, r) -> the family's slack, or NotInteriorError
+# --------------------------------------------------------------------------
+
+def _require(positive: bool, family: str, slack: str) -> None:
+    if not positive:
+        raise NotInteriorError(f"{family} conjugate: dual slack {slack} is not positive")
+
+
+def _log_domain(cone, p, q, rv):
+    """``wbar = d omega(beta)``; the slack is ``wbar - 1``."""
+    _require(p < 0.0 and (rv > 0.0).all(), "log", "-p or r_i")
+    d = rv.size
+    # the slack of beta over its boundary value is a fine cancellation near
+    # the dual boundary; an exact sum keeps it to the accuracy of the logs
+    try:
+        beta = math.fsum([1.0, float(d), -q / p] + np.log(-rv / p).tolist()) / d - math.log(d)
+    except ValueError:  # -inf + inf
+        beta = math.nan
+    # an infinite beta or wbar leaves g* at 0/0: the point is not interior
+    wbar = d * wright_omega(beta) if math.isfinite(beta) else math.nan
+    _require(1.0 < wbar < math.inf, "log", "wbar - 1")
+    return wbar
+
+
+def _power_domain(cone, p, q, rv):
+    _require(p < 0.0 and (rv > 0.0).all() and -p < power_cap(cone.alpha, rv),
+             "hpower", "power_cap(alpha, r) + p")
+
+
+def _hgeom_domain(cone, p, q, rv):
+    """``phi = prod r_i^(1/d)`` and the slack ``phi + p/d``."""
+    _require(p < 0.0 and (rv > 0.0).all(), "hgeom", "-p or r_i")
+    phi = float(np.exp(np.log(rv).mean()))
+    den = phi + p / rv.size
+    _require(den > 0.0, "hgeom", "phi + p/d")
+    return phi, den
+
+
+def _radial_domain(cone, p, q, rv):
+    """The radial block, its norm ``s``, and the rpower callback with its
+    start, or ``None`` with rgeom's root (``None, None`` for a zero block).
+
+    The slack is rgeom's ``m d2 - s`` (in ``_rgeom_yminus``) and rpower's
+    ``-a``.  The weights' rounded sum adds ``2 delta log(2 y^2)`` to h, so
+    near the boundary h can have no root, or one left of the start; ``-a``
+    above ``9 |2 delta| log(2 y^2)`` at ``y = 4 d2 / (s (-a))``, past the
+    root, rules out both (the start's factor 0.9 leaves ``h(y0) ~ -a/9``);
+    16 leaves a margin.
+    """
+    _require((rv > 0.0).all(), "radial", "r_i")
     p, s, zero = _radial_parts(p, rv)
-    alpha, res = cone.alpha, None
     if zero:
+        return p, s, None, None
+    alpha = cone.alpha
+    y_minus = _rgeom_yminus(rv.size, s, float(np.exp(np.dot(alpha, np.log(rv)))))
+    if cone.powers is None:
+        # equal weights: y_minus is the exact root
+        return p, s, None, y_minus
+    fn, a, two_delta = _rpower_reduction(alpha, s, rv)
+    _require(a < 0.0 and -a > 16.0 * abs(two_delta) * (
+        math.log(2.0) + 2.0 * math.log(4.0 * rv.size / (s * -a))), "rpower", "-a less its bound")
+    y_tail = _rpower_tail_start(alpha, s, a)
+    return p, s, fn, y_minus if y_tail is None else max(y_minus, y_tail)
+
+
+def _linf_domain(cone, p, q, rv):
+    """``delta = p - ||r||_1``, correctly rounded."""
+    try:
+        delta = math.fsum([p] + (-np.abs(rv)).tolist())
+    except OverflowError:  # ||r||_1 exceeds p by more than the largest float
+        delta = -math.inf
+    # lspec: computed singular values are exact for a perturbation of R of
+    # norm a few eps sigma_max (Weyl), so a slack inside the summed rounding
+    # bound does not certify p > ||R||_*
+    bound = _SVD_SLACK_FACTOR * rv.size * _EPS * float(rv[0]) if cone.rules.lift else 0.0
+    _require(delta > bound, "linf", "p - ||r||_1 less its rounding bound")
+    return delta
+
+
+# --------------------------------------------------------------------------
+# vector kernels: (cone, p, q, r, slack) -> (g_p, g_q, g_r, RootResult or
+# None), or f*
+# --------------------------------------------------------------------------
+
+def _log_gradient(cone, p, q, rv, wbar):
+    d = rv.size
+    denom = p * (1.0 - wbar)
+    gq = -1.0 / denom
+    gr = wbar / (rv * (1.0 - wbar))
+    # recover the leading component from <g*, r> = -nu, which it must satisfy
+    gp = math.fsum([-float(d) - 2.0, -q * gq] + (-rv * gr).tolist()) / p
+    return gp, gq, gr, None
+
+
+def _log_value(cone, p, q, rv, wbar) -> float:
+    d = rv.size
+    return (-2.0 - d - 2.0 * math.log(-p)
+            - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
+            - float(np.log(rv).sum()))
+
+
+def _hpower_gradient(cone, p, q, rv, _):
+    res = newton_raphson(_hpower_h(cone, p, q, rv), 0.0, StopRule())
+    yhat = res.root
+    return -1.0 / p - 1.0 / yhat, None, (p * cone.alpha / yhat - 1.0) / rv, res
+
+
+def _hgeom_gradient(cone, p, q, rv, slack):
+    phi, den = slack
+    return -1.0 / p - 1.0 / den, None, -phi / (rv * den), None
+
+
+def _hgeom_value(cone, p, q, rv, slack) -> float:
+    phi, den = slack
+    d = rv.size
+    return (-1.0 - d - d * math.log(den / phi)
+            - math.log(-p) - float(np.log(rv).sum()))
+
+
+def _radial_gradient(cone, p, q, rv, root):
+    p, s, fn, yhat = root
+    alpha, res = cone.alpha, None
+    if fn is not None:
+        res = newton_raphson(fn, yhat, StopRule())
+        yhat = res.root
+    if yhat is None:
         gp = np.zeros_like(p)
         gr = -(1.0 + alpha) / rv
     else:
-        y_minus = _rgeom_yminus(rv.size, s, float(np.exp(np.dot(alpha, np.log(rv)))))
-        if cone.powers is None:
-            # equal weights: y_minus is the exact root
-            yhat = y_minus
-        else:
-            fn, a = _rpower_reduction(alpha, s, rv)
-            y_tail = _rpower_tail_start(alpha, s, a)
-            y0 = y_minus if y_tail is None else max(y_minus, y_tail)
-            res = newton_raphson(fn, y0, StopRule())
-            yhat = res.root
         gp = yhat * p / s
         gr = -(alpha * (1.0 + s * yhat) + 1.0) / rv
     return (gp if cone.layout.radial else float(gp[0])), None, gr, res
 
 
-def _linf_gradient(cone, p, q, rv):
-    p = float(p)
+def _radial_value(cone, p, q, rv, root) -> float:
+    # -nu - f(-g*) with f = -log(phi(w)^2 - ||u||^2) - sum (1 - alpha_i) log w_i;
+    # at the minimizer f's radial gradient 2 u / (phi^2 - ||u||^2) is -p, so
+    # phi(w)^2 - ||u||^2 = 2 y / s exactly and nothing cancels
+    _, _, gr, res = _radial_gradient(cone, p, q, rv, root)
+    alpha, lw, y = cone.alpha, np.log(-gr), root[3] if res is None else res.root
+    log_zeta = 2.0 * float(np.dot(alpha, lw)) if y is None else math.log(2.0 * y / root[1])
+    return -cone.nu + log_zeta + float(np.dot(1.0 - alpha, lw))
+
+
+def _linf_gradient(cone, p, q, rv, delta):
     if not (rv != 0.0).any():
         yhat, res = -(rv.size + 1.0) / p, None
     else:
-        fn, y0 = _linf_reduction(p, rv)
+        fn, y0 = _linf_reduction(p, rv, delta)
         res = newton_raphson(fn, y0, StopRule())
         yhat = res.root
     return yhat, None, _linf_gr(yhat, rv), res
@@ -317,61 +376,45 @@ def _linf_gradient(cone, p, q, rv):
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A vector family's g*, its univariate reduction ``(cone, p, r) ->
-    (h, h')`` callback, and its closed-form f*, where these exist."""
+    """A vector family's domain step, g*, ``(h, h')`` reduction and f*."""
 
+    domain: Callable
     gradient: Callable
     reduction: Callable | None = None
     value: Callable | None = None
 
 
-_RADIAL = _Kernel(_radial_gradient, _rpower_h)
+_RADIAL = _Kernel(_radial_domain, _radial_gradient, _rpower_h, _radial_value)
 
 _KERNELS = {
-    ConeFamily.LOG: _Kernel(_log_gradient, value=_log_value),
-    ConeFamily.HPOWER: _Kernel(_hpower_gradient, _hpower_h),
-    ConeFamily.HGEOM: _Kernel(_hgeom_gradient, _hpower_h, _hgeom_value),
+    ConeFamily.LOG: _Kernel(_log_domain, _log_gradient, value=_log_value),
+    ConeFamily.HPOWER: _Kernel(_power_domain, _hpower_gradient, _hpower_h),
+    ConeFamily.HGEOM: _Kernel(_hgeom_domain, _hgeom_gradient, _hpower_h, _hgeom_value),
     ConeFamily.RPOWER: _RADIAL,
     ConeFamily.RGEOM: _RADIAL,
-    ConeFamily.LINF: _Kernel(_linf_gradient,
-                             lambda cone, p, rv: _linf_reduction(float(p), rv)[0]),
+    ConeFamily.LINF: _Kernel(_linf_domain, _linf_gradient,
+                             lambda cone, p, q, rv, delta: _linf_reduction(p, rv, delta)[0]),
 }
 
 
-def _spectral(cone: ConeDescriptor, r: ConePoint):
-    """The vector block, or the spectrum of ``R`` with its frames ``(U, V)``."""
-    lift = cone.rules.lift
-    if lift is None:
-        return r.vec, None
+def _dual_domain(cone: ConeDescriptor, r: ConePoint):
+    """The packed ``r``, the frames ``(U, V)`` of ``R``, and the kernel
+    arguments ``(p, q, r, slack)`` with ``r`` the vector block or the
+    spectrum: ``ValueError`` on a malformed point, ``NotInteriorError``
+    outside the open dual cone (a non-finite entry is outside)."""
+    x = pack(cone, r)
+    epi, persp, rv, mat = cone.layout.blocks(x)
+    frames, lift = None, cone.rules.lift
+    # sym_eigen and svd raise on a non-finite matrix block
     if lift == "eig":
-        eig = sym_eigen(r.mat)
-        return eig.values, (eig.vectors, eig.vectors)
-    dec = svd(r.mat)
-    return dec.sigma, (dec.U, dec.V)
-
-
-def _finite(x) -> bool:
-    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
-
-
-def _dual_spectrum(cone: ConeDescriptor, r: ConePoint):
-    """``_spectral`` of a strictly interior dual point, decomposed once.
-
-    Membership is tested on the same spectrum the oracle uses; raises
-    ``ValueError`` on a malformed point and ``NotInteriorError`` outside the
-    open dual cone.  A non-finite entry is outside: the dual rules compare
-    against sums and logs that an infinity satisfies.
-    """
-    check_shape(cone, r)
-    rv, frames = _spectral(cone, r)
-    # a matrix block's spectrum is finite, or _spectral raised
-    finite = (_finite(r.epi) and (r.persp is None or _finite(r.persp))
-              and (frames is not None or _finite(rv)))
-    if not (finite and cone.rules.dual(cone, r.epi, r.persp, rv)):
-        raise NotInteriorError(
-            f"dual point is not interior to the {cone.family.value} dual cone"
-        )
-    return rv, frames
+        eig = sym_eigen(mat)
+        rv, frames = eig.values, (eig.vectors, eig.vectors)
+    elif lift == "svd":
+        dec = svd(mat)
+        rv, frames = dec.sigma, (dec.U, dec.V)
+    if not np.isfinite(x).all():
+        raise NotInteriorError(f"{cone.family.value}: a non-finite entry is not interior")
+    return x, frames, (epi, persp, rv, _KERNELS[cone.rules.vector].domain(cone, epi, persp, rv))
 
 
 # --------------------------------------------------------------------------
@@ -380,13 +423,13 @@ def _dual_spectrum(cone: ConeDescriptor, r: ConePoint):
 
 def dual_in_interior(cone: ConeDescriptor, r: ConePoint) -> bool:
     """Strict membership in the open dual cone: whether ``r`` passes the
-    conjugate oracles' domain check.
+    conjugate oracles' domain step.
 
     Boundary points classify as not interior.  A malformed point or a
     non-symmetric matrix block raises ``ValueError``.
     """
     try:
-        _dual_spectrum(cone, r)
+        _dual_domain(cone, r)
     except NotInteriorError:
         return False
     return True
@@ -397,39 +440,38 @@ def lemma_h(cone: ConeDescriptor, r: ConePoint):
 
     Returns a callback suitable for :func:`conebarriers.scalars.newton_raphson`.
     Only the power and norm families, and their matrix lifts, have such a
-    reduction.
+    reduction; ``r`` must pass the same domain step as the oracles.
     """
-    check_shape(cone, r)
     reduction = _KERNELS[cone.rules.vector].reduction
     if reduction is None:
         raise ValueError(f"{cone.family.value}: conjugate gradient needs no root finding")
-    rv, _ = _spectral(cone, r)
-    return reduction(cone, r.epi, rv)
+    return reduction(cone, *_dual_domain(cone, r)[2])
 
 
 def conjugate_gradient(cone: ConeDescriptor, r: ConePoint) -> ConjugateResult:
     """Gradient of the conjugate barrier at a strictly interior dual point."""
-    rv, frames = _dual_spectrum(cone, r)
-    gp, gq, gr, res = _KERNELS[cone.rules.vector].gradient(cone, r.epi, r.persp, rv)
+    x, frames, args = _dual_domain(cone, r)
+    gp, gq, gr, res = _KERNELS[cone.rules.vector].gradient(cone, *args)
     if frames is None:
-        g_star = ConePoint(epi=gp, persp=gq, vec=gr)
+        vec, mat = gr, None
     else:
         u, v = frames
-        g_star = ConePoint(epi=gp, persp=gq, mat=(u * gr) @ v.T)
-    return ConjugateResult(g_star=g_star, iterations=0 if res is None else res.iterations,
-                           residual=abs(inner(cone, g_star, r) + cone.nu),
+        vec, mat = None, (u * gr) @ v.T
+    g = cone.layout.join(gp, gq, vec, mat)
+    return ConjugateResult(g_star=ConePoint(epi=gp, persp=gq, vec=vec, mat=mat),
+                           iterations=0 if res is None else res.iterations,
+                           residual=abs(float(np.dot(g, x)) + cone.nu),
                            converged=res is None or res.converged)
 
 
 def conjugate_value(cone: ConeDescriptor, r: ConePoint) -> float:
     """Conjugate barrier value f*(r).
 
-    Closed forms exist for the log and geometric-mean families and their
-    matrix lifts; every other family evaluates ``-nu - f(-g*(r))``.
+    Closed forms exist for the log, geometric-mean and radial families and
+    their matrix lifts; every other family evaluates ``-nu - f(-g*(r))``.
     """
     closed = _KERNELS[cone.rules.vector].value
     if closed is None:
         g_star = conjugate_gradient(cone, r).g_star
         return -cone.nu - barrier_value(cone, unpack(cone, -pack(cone, g_star)))
-    rv, _ = _dual_spectrum(cone, r)
-    return closed(r.epi, r.persp, rv)
+    return closed(cone, *_dual_domain(cone, r)[2])

@@ -48,9 +48,8 @@ from .cones import (
     PowerParams,
     inner,
     pack,  # noqa: F401  # wrapped by perfbench/tracer.py
-    power_cap,
 )
-from .conjugate import conjugate_gradient, dual_in_interior
+from .conjugate import conjugate_gradient, dual_in_interior, power_cap
 from .linalg import NonPositiveDefiniteError
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
 
@@ -72,6 +71,10 @@ MATRIX_CONES = ["logdet", "rtdet", "lspec"]
 _CONE_IDS = {fam: i for i, fam in enumerate(ConeFamily)}
 
 
+def _is_int(x) -> bool:  # True is an int, but no dimension, count or seed
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     cones: tuple[str, ...] = tuple(DEFAULT_CONES)
@@ -87,12 +90,14 @@ class ExperimentConfig:
             raise ValueError("cones, dims and offsets must be non-empty")
         for name in self.cones:
             ConeFamily(name)  # raises on unknown names
-        if any(not isinstance(d, (int, np.integer)) or d < 1 for d in self.dims):
+        if any(not _is_int(d) or d < 1 for d in self.dims):
             raise ValueError("dims must be integers >= 1")
         if any(not (0.0 < o < 1.0) for o in self.offsets):
             raise ValueError("offsets must lie strictly in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be finite and positive; got {self.eps!r}")
         if self.fmt not in ("csv", "markdown"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conebarriers import (
     lemma_h,
     newton_raphson,
     pack,
+    residual,
     sample_dual_point,
     svd,
     unpack,
@@ -31,15 +33,25 @@ def neg(cone, point):
     return unpack(cone, -pack(cone, point))
 
 
-def dual_boundary_points(family, r):
+def dual_boundary_points(cone, r):
     """``r`` with one scalar block at 17 floats around its boundary value,
-    computed from a values-only decomposition of a matrix block."""
+    computed from a values-only decomposition of a matrix block; for the
+    radial families, the radial block with its norm at 17 floats around the
+    power cap, along the sampled direction.  hpower's points sit on the
+    equal-weight cap ``d prod r_i^(1/d)``, not on its own boundary."""
+    family = cone.family.value
     if family in ("logdet", "rtdet"):
         lam = np.linalg.eigvalsh(r.mat)
     elif family == "lspec":
         lam = np.linalg.svd(r.mat, compute_uv=False)
     else:
         lam = r.vec
+    if family in ("rpower", "rgeom"):
+        direction = r.epi / np.linalg.norm(np.atleast_1d(r.epi))
+        cap = float(np.exp(np.dot(cone.alpha, np.log(lam / cone.alpha))))
+        for x in cap + np.spacing(cap) * np.arange(-8, 9):
+            yield ConePoint(epi=x * direction, vec=r.vec)
+        return
     p = float(r.epi)
     if family in ("log", "logdet"):
         block, edge = "persp", p * float(np.sum(np.log(-lam / p))) + p * lam.size
@@ -218,6 +230,25 @@ class TestLemmaH:
         with pytest.raises(ValueError):
             lemma_h(cone, ConePoint(epi=np.zeros(2), vec=np.array([1.0, 1.0])))
 
+    @pytest.mark.parametrize("family", ["hpower", "hgeom", "rtdet", "rpower", "rgeom",
+                                        "linf", "lspec"])
+    def test_exterior_and_nan_points_rejected(self, family, rng):
+        # the reduction runs the oracles' domain step: outside the open dual
+        # cone, or at a NaN entry, there is no root function to return
+        cone = random_cone(family, rng)
+        r = sample_dual_point(cone, 1e-3, rng)
+        # past the cap, or below ||r||_1 for the norm families
+        scale = 0.1 if family in ("linf", "lspec") else 10.0
+        points = [replace(r, epi=scale * r.epi), replace(r, epi=np.nan * r.epi)]
+        if r.vec is not None and family != "linf":
+            rv = r.vec.copy()
+            rv[0] = -rv[0]
+            points.append(replace(r, vec=rv))
+        for pt in points:
+            assert not dual_in_interior(cone, pt)
+            with pytest.raises(NotInteriorError):
+                lemma_h(cone, pt)
+
     def test_log_has_no_reduction(self):
         cone = ConeDescriptor.log(2)
         r = ConePoint(epi=-1.0, persp=1.0, vec=np.ones(2))
@@ -231,6 +262,7 @@ class TestLemmaH:
         # start is right of the root of an increasing h: h(y0) has a fixed
         # sign in all three cases
         from conebarriers.conjugate import (
+            _linf_domain,
             _linf_reduction,
             _rgeom_yminus,
             _rpower_tail_start,
@@ -257,7 +289,8 @@ class TestLemmaH:
                 assert h0 >= -1e-12
             else:
                 sigma = r.vec if fam == "linf" else svd(r.mat).sigma
-                _, y0 = _linf_reduction(float(r.epi), sigma)
+                p = float(r.epi)
+                _, y0 = _linf_reduction(p, sigma, _linf_domain(cone, p, None, sigma))
                 h0, _ = fn(y0)
                 assert h0 >= 0.0
 
@@ -458,10 +491,12 @@ class TestConjugateValue:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_consistent_with_barrier_at_minimizer(self, family, rng):
-        # f*(r) = -nu - f(-g*(r)) for every family
-        for _ in range(30):
+        # f*(r) = -nu - f(-g*(r)) for every family, also at a zero radial block
+        for k in range(30):
             cone = random_cone(family, rng)
             r = sample_dual_point(cone, 0.3, rng)
+            if k == 0 and family in ("rpower", "rgeom"):
+                r = replace(r, epi=0.0 * r.epi)
             f1 = conjugate_value(cone, r)
             f2 = -cone.nu - value(cone, neg(cone, conjugate_gradient(cone, r).g_star))
             assert f1 == pytest.approx(f2, rel=1e-9, abs=1e-9)
@@ -524,30 +559,37 @@ class TestValidation:
                 with pytest.raises(ValueError, match="not symmetric"):
                     oracle(cone, ConePoint(epi=r.epi, persp=r.persp, mat=skew))
 
-    @pytest.mark.parametrize("family", MATRIX_FAMILIES)
-    def test_membership_agrees_with_oracle_at_the_boundary(self, family, rng):
-        # the sampler accepts a point by dual_in_interior; the oracle must
-        # then accept it too, also within rounding of the boundary, so both
-        # must decompose R with the same routine
-        from conebarriers.conjugate import _dual_spectrum
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_membership_agrees_with_oracle_at_the_boundary(self, family):
+        # the sampler accepts a point by dual_in_interior, and an
+        # interior-point method relies on "r is interior" and "g*(r)
+        # evaluates" being the same statement: within rounding of the
+        # boundary, every accepted point evaluates g* and f*, and every
+        # rejected point makes both raise NotInteriorError
+        def raises(oracle, cone, pt):
+            try:
+                oracle(cone, pt)
+            except NotInteriorError:
+                return True
+            return False
 
-        cone = random_cone(family, rng, d=6)
-        for _ in range(10):
-            r = sample_dual_point(cone, 1e-3, rng)
-            for pt in dual_boundary_points(family, r):
-                try:
-                    _dual_spectrum(cone, pt)
-                    accepted = True
-                except NotInteriorError:
-                    accepted = False
-                assert dual_in_interior(cone, pt) == accepted
+        for seed in (11, 12, 13):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                cone = random_cone(family, rng, d=6)
+                r = sample_dual_point(cone, 1e-3, rng)
+                for pt in dual_boundary_points(cone, r):
+                    outside = not dual_in_interior(cone, pt)
+                    assert raises(conjugate_gradient, cone, pt) == outside
+                    assert raises(conjugate_value, cone, pt) == outside
 
     def test_linf_slack_below_rounding_raises(self):
-        # ||r||_1 rounds to 1 below p = 1 + ulp, so membership accepts r, but
-        # its exact value exceeds p: the reduction's exact slack is negative
+        # ||r||_1 rounds to 1 below p = 1 + ulp, but its exact value exceeds
+        # p: membership reads the same correctly rounded slack as the
+        # reduction, so it rejects r, and the oracle raises
         cone = ConeDescriptor.linf(4)
         r = ConePoint(epi=1.0 + np.spacing(1.0), vec=np.array([1.0, 1e-16, 1e-16, 1e-16]))
-        assert dual_in_interior(cone, r)
+        assert not dual_in_interior(cone, r)
         with pytest.raises(NotInteriorError):
             conjugate_gradient(cone, r)
 
@@ -562,7 +604,7 @@ class TestValidation:
         for _ in range(20):
             cone = random_cone("lspec", rng, d=6)
             r = sample_dual_point(cone, 1e-3, rng)
-            for pt in dual_boundary_points("lspec", r):
+            for pt in dual_boundary_points(cone, r):
                 if not dual_in_interior(cone, pt):
                     with pytest.raises(NotInteriorError):
                         conjugate_gradient(cone, pt)
@@ -574,25 +616,42 @@ class TestValidation:
                 assert res.residual <= 0.25 * cone.nu
                 assert math.isfinite(conjugate_value(cone, pt))
 
-    @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "linf", "lspec"])
+    @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "rpower", "rgeom",
+                                        "linf", "lspec"])
     def test_accepted_boundary_points_give_finite_gradients(self, family, rng):
-        # next to the boundary a kernel's slack can round to the wrong sign
-        # at a point that membership accepts: the kernel must then raise
-        # NotInteriorError, not divide by zero or return a non-finite g*
+        # next to the boundary the domain step rejects every point whose
+        # slack rounds to the wrong sign: an accepted point gets a finite g*
+        # and f*, never NotInteriorError, a division by zero or a NaN
         for _ in range(20):
             cone = random_cone(family, rng, d=6)
             r = sample_dual_point(cone, 1e-3, rng)
-            for pt in dual_boundary_points(family, r):
+            for pt in dual_boundary_points(cone, r):
                 if not dual_in_interior(cone, pt):
                     continue
-                try:
-                    g_star = conjugate_gradient(cone, pt).g_star
-                    assert np.all(np.isfinite(pack(cone, g_star))), family
-                except NotInteriorError:
-                    pass
-                if family in ("hgeom", "rtdet"):
-                    # the closed-form f* has its own slack, d phi + p
-                    try:
-                        assert math.isfinite(conjugate_value(cone, pt)), family
-                    except NotInteriorError:
-                        pass
+                g_star = conjugate_gradient(cone, pt).g_star
+                assert np.all(np.isfinite(pack(cone, g_star))), family
+                assert math.isfinite(conjugate_value(cone, pt)), family
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_residual_matches_experiment_residual(self, family, rng):
+        # the oracle's residual on the packed blocks is the same float as
+        # |<g*, r> + nu| through inner
+        for o in (1e-1, 1e-6):
+            cone = random_cone(family, rng)
+            r = sample_dual_point(cone, o, rng)
+            res = conjugate_gradient(cone, r)
+            assert res.residual == residual(cone, res.g_star, r)
+
+    def test_extreme_finite_points_classify(self):
+        # an fsum past the largest float, or an infinite beta, is a
+        # classification (not interior), not an exception
+        huge = np.finfo(float).max
+        linf = ConeDescriptor.linf(2)
+        assert not dual_in_interior(linf, ConePoint(epi=1.0, vec=np.array([huge, huge])))
+        log = ConeDescriptor.log(2)
+        for q in (huge, -huge):
+            # -q/p overflows to -inf or +inf; +inf leaves g* at 0/0
+            pt = ConePoint(epi=-1e-10, persp=q, vec=np.ones(2))
+            assert not dual_in_interior(log, pt)
+            with pytest.raises(NotInteriorError):
+                conjugate_gradient(log, pt)

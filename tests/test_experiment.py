@@ -164,6 +164,16 @@ class TestRunGrid:
             with pytest.raises(ValueError):
                 ExperimentConfig(eps=eps)
 
+    def test_config_requires_integer_counts_and_seed(self):
+        # each of these reached run_grid, which then died in range() or
+        # SeedSequence with a TypeError or ValueError
+        for bad in (dict(trials=2.5), dict(trials=True), dict(dims=(True,)),
+                    dict(seed=-1), dict(seed=1.0), dict(seed=False)):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
+        cfg = ExperimentConfig(dims=(np.int64(4),), trials=np.int64(2), seed=np.int64(0))
+        assert cfg.seed == 0
+
     def test_failures_counted_without_aborting(self, monkeypatch):
         import conebarriers.experiment as exp
 
@@ -291,8 +301,10 @@ class TestCli:
             assert exc.value.code == 2
 
     @pytest.mark.parametrize("grid", [["--dims", "0"], ["--dims", ""],
-                                      ["--cones", ""], ["--offsets", ""]],
-                             ids=["dims-0", "dims-empty", "cones-empty", "offsets-empty"])
+                                      ["--cones", ""], ["--offsets", ""],
+                                      ["--seed", "-1"]],
+                             ids=["dims-0", "dims-empty", "cones-empty", "offsets-empty",
+                                  "seed-negative"])
     def test_bad_grid_is_usage_error(self, grid, capsys):
         # the failures must not reach run_grid, which counts a descriptor's
         # ValueError as failed trials
