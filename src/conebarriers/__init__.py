@@ -13,80 +13,16 @@ radial geometric mean, infinity norm, spectral norm):
   (:mod:`conebarriers.experiment`) with a ``conebench`` CLI.
 """
 
-from .linalg import (
-    NonPositiveDefiniteError,
-    SymEigen,
-    Svd,
-    cholesky_solve,
-    svd,
-    sym_eigen,
-)
-from .cones import (
-    ConeDescriptor,
-    ConeFamily,
-    ConePoint,
-    NotInteriorError,
-    PowerParams,
-    barrier_parameter,
-    inner,
-    pack,
-    unpack,
-)
-from .scalars import (
-    RootResult,
-    StopRule,
-    newton_raphson,
-    wright_omega,
-)
-from .barriers import (
-    BarrierWorkspace,
-    gradient,
-    hessian_apply,
-    hessian_dense,
-    in_interior,
-    inverse_hessian_apply,
-    value,
-)
-from .conjugate import (
-    ConjugateResult,
-    conjugate_gradient,
-    conjugate_value,
-    dual_in_interior,
-    lemma_h,
-)
-from .newton import (
-    DAMPED_THRESHOLD,
-    DEFAULT_EPS,
-    NewtonStatus,
-    NewtonTrace,
-    default_initial_point,
-    generic_conjugate_gradient,
-    local_norm_lambda,
-)
-from .experiment import (
-    ExperimentConfig,
-    IterationStats,
-    render_table,
-    residual,
-    run_grid,
-    sample_dual_point,
-)
+from .linalg import *
+from .cones import *
+from .scalars import *
+from .barriers import *
+from .conjugate import *
+from .newton import *
+from .experiment import *
+from . import barriers, cones, conjugate, experiment, linalg, newton, scalars
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConeDescriptor", "ConeFamily", "ConePoint", "NotInteriorError",
-    "PowerParams", "barrier_parameter", "inner", "pack", "unpack",
-    "NonPositiveDefiniteError", "SymEigen", "Svd", "cholesky_solve",
-    "svd", "sym_eigen",
-    "RootResult", "StopRule", "newton_raphson", "wright_omega",
-    "BarrierWorkspace", "gradient", "hessian_apply", "hessian_dense",
-    "in_interior", "inverse_hessian_apply", "value",
-    "ConjugateResult", "conjugate_gradient", "conjugate_value",
-    "dual_in_interior", "lemma_h",
-    "DAMPED_THRESHOLD", "DEFAULT_EPS", "NewtonStatus", "NewtonTrace",
-    "default_initial_point", "generic_conjugate_gradient",
-    "local_norm_lambda",
-    "ExperimentConfig", "IterationStats", "render_table", "residual",
-    "run_grid", "sample_dual_point",
-]
+__all__ = [name for module in (linalg, cones, scalars, barriers, conjugate, newton, experiment)
+           for name in module.__all__]

@@ -13,7 +13,6 @@ from .experiment import (
     render_table,
     run_grid,
 )
-from .newton import DEFAULT_EPS
 
 _ALL_CONES = DEFAULT_CONES + MATRIX_CONES
 
@@ -25,6 +24,7 @@ def _csv_list(cast):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    default = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="conebench",
         description="Compare specialized conjugate-gradient procedures "
@@ -32,27 +32,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "cones, dimensions, and boundary offsets.",
     )
     parser.add_argument("--cones", type=_csv_list(str),
-                        default=tuple(DEFAULT_CONES), metavar="LIST",
+                        default=default.cones, metavar="LIST",
                         help=f"comma-separated cone names from {_ALL_CONES} "
                              "(default: the vector cones)")
     parser.add_argument("--include-matrix", action="store_true",
                         help="append the matrix cones (logdet,rtdet,lspec) "
                              "to the selection")
-    parser.add_argument("--dims", type=_csv_list(int), default=(20, 40, 60),
-                        metavar="LIST", help="dimensions (default 20,40,60)")
+    parser.add_argument("--dims", type=_csv_list(int), default=default.dims,
+                        metavar="LIST", help="dimensions (default %(default)s)")
     parser.add_argument("--offsets", type=_csv_list(float),
-                        default=(1e-5, 1e-4, 1e-3, 1e-2, 1e-1), metavar="LIST",
-                        help="boundary offsets in (0,1) "
-                             "(default 1e-5,...,1e-1)")
-    parser.add_argument("--trials", type=int, default=10,
-                        help="samples per grid cell (default 10)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="RNG seed (default 42)")
-    parser.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                        default=default.offsets, metavar="LIST",
+                        help="boundary offsets in (0,1) (default %(default)s)")
+    parser.add_argument("--trials", type=int, default=default.trials,
+                        help="samples per grid cell (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=default.seed,
+                        help="RNG seed (default %(default)s)")
+    parser.add_argument("--eps", type=float, default=default.eps,
                         help="generic-method tolerance "
                              "(default 1000 * machine epsilon)")
     parser.add_argument("--format", choices=("csv", "markdown"),
-                        default="csv", help="output format (default csv)")
+                        default=default.fmt, help="output format (default %(default)s)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the table to FILE instead of stdout")
     return parser

@@ -51,7 +51,6 @@ __all__ = [
     "PowerParams",
     "ConeDescriptor",
     "ConePoint",
-    "PackedLayout",
     "NotInteriorError",
     "barrier_parameter",
     "pack",

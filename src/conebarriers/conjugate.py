@@ -19,7 +19,9 @@ root found by a guarded Newton-Raphson iteration:
   (``_linf_reduction``) so that ``p y`` cancels nothing near the boundary.
 
 Each vector family's domain step, g*, univariate reduction and closed-form
-f* form one record in ``_KERNELS``.  A matrix family runs its vector
+f* form one record in ``_KERNELS``.  f* is ``-<r, w> - f(w)`` at
+``w = -g*``, written in the kernel's slack or root so that nothing cancels;
+no oracle here calls the primal barrier.  A matrix family runs its vector
 family's record on the spectrum of ``R`` (``FamilyRules.lift``) and rotates
 g* back through the eigen or singular frames.
 
@@ -38,14 +40,13 @@ from typing import Callable
 
 import numpy as np
 
-from .barriers import value as barrier_value
 from .cones import (
     ConeDescriptor,
     ConeFamily,
     ConePoint,
     NotInteriorError,
     pack,
-    unpack,
+    unpack,  # noqa: F401  # wrapped by perfbench/tracer.py
 )
 from .linalg import sym_eigen, svd
 from .scalars import StopRule, newton_raphson, wright_omega
@@ -327,16 +328,43 @@ def _hpower_gradient(cone, p, q, rv, _):
     return -1.0 / p - 1.0 / yhat, None, (p * cone.alpha / yhat - 1.0) / rv, res
 
 
+def _power_value(cone, p, rv, yhat, h, gap=0.0) -> float:
+    """f* = -<r, w> - f(w) at ``w = -g*`` for a computed root ``yhat`` of
+    the hypograph reduction, with ``h = h(yhat)`` and ``gap = 1 - sum alpha``
+    (binary64 weights sum to 1 only within an ulp).
+
+    At any ``yhat``, ``w_i = (1 - p alpha_i / yhat) / r_i``, ``<r, w> = nu
+    + p gap / yhat`` and ``phi(w) - u = -1/p + expm1(h + gap log yhat) /
+    yhat``, so nothing cancels; the shortcut ``phi(w) - u = -1/p`` holds
+    only at the exact root, which Newton-Raphson stops up to 1e-9 short of.
+    Next to hpower's own boundary the root can round to 0, or the last term
+    outweigh ``-1/p``: ``w`` is then not inside the primal cone.
+    """
+    zeta = -1.0 / p + math.expm1(h + gap * math.log(yhat)) / yhat if yhat > 0.0 else 0.0
+    _require(zeta > 0.0, "hpower", "y or phi(w) - u")
+    w = (1.0 - p * cone.alpha / yhat) / rv
+    return -cone.nu - p * gap / yhat + math.log(zeta) + float(np.log(w).sum())
+
+
+def _hpower_value(cone, p, q, rv, _) -> float:
+    fn = _hpower_h(cone, p, q, rv)
+    yhat = newton_raphson(fn, 0.0, StopRule()).root
+    return _power_value(cone, p, rv, yhat, fn(yhat)[0],
+                        -math.fsum([-1.0] + cone.alpha.tolist()))
+
+
 def _hgeom_gradient(cone, p, q, rv, slack):
     phi, den = slack
     return -1.0 / p - 1.0 / den, None, -phi / (rv * den), None
 
 
 def _hgeom_value(cone, p, q, rv, slack) -> float:
+    # the root is the slack phi + p/d; h = log(y - p/d) - log phi reads the
+    # phi that membership tested, so it is 0 or the sum's rounding, never
+    # phi's own rounding, which divided by a slack of a few ulps would
+    # outweigh -1/p
     phi, den = slack
-    d = rv.size
-    return (-1.0 - d - d * math.log(den / phi)
-            - math.log(-p) - float(np.log(rv).sum()))
+    return _power_value(cone, p, rv, den, math.log((den - p / rv.size) / phi))
 
 
 def _radial_gradient(cone, p, q, rv, root):
@@ -364,35 +392,49 @@ def _radial_value(cone, p, q, rv, root) -> float:
     return -cone.nu + log_zeta + float(np.dot(1.0 - alpha, lw))
 
 
-def _linf_gradient(cone, p, q, rv, delta):
+def _linf_root(p, rv, delta):
+    """The reduction's callback, its root ``yhat < 0`` and the RootResult
+    (``None`` for a zero ``r``, whose root is ``-(d + 1)/p``)."""
+    fn, y0 = _linf_reduction(p, rv, delta)
     if not (rv != 0.0).any():
-        yhat, res = -(rv.size + 1.0) / p, None
-    else:
-        fn, y0 = _linf_reduction(p, rv, delta)
-        res = newton_raphson(fn, y0, StopRule())
-        yhat = res.root
+        return fn, -(rv.size + 1.0) / p, None
+    res = newton_raphson(fn, y0, StopRule())
+    return fn, res.root, res
+
+
+def _linf_gradient(cone, p, q, rv, delta):
+    _, yhat, res = _linf_root(p, rv, delta)
     return yhat, None, _linf_gr(yhat, rv), res
+
+
+def _linf_value(cone, p, q, rv, delta) -> float:
+    # -<r, w> - f(w) at w = -g*(y), f = -sum log(u^2 - w_i^2) + (d - 1) log u:
+    # at any y, <r, w> = nu - h(y) and u^2 - w_i^2 = 2 y^2 / (sqrt(1 + y^2
+    # r_i^2) + 1), also at r_i = 0; h(yhat) is what Newton-Raphson leaves
+    fn, y, _ = _linf_root(p, rv, delta)
+    z = 2.0 * y * y / (np.sqrt(1.0 + (y * rv) ** 2) + 1.0)
+    return fn(y)[0] - cone.nu + float(np.log(z).sum()) - (rv.size - 1) * math.log(-y)
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A vector family's domain step, g*, ``(h, h')`` reduction and f*."""
+    """A vector family's domain step, g*, f* and ``(h, h')`` reduction."""
 
     domain: Callable
     gradient: Callable
+    value: Callable
     reduction: Callable | None = None
-    value: Callable | None = None
 
 
-_RADIAL = _Kernel(_radial_domain, _radial_gradient, _rpower_h, _radial_value)
+_RADIAL = _Kernel(_radial_domain, _radial_gradient, _radial_value, _rpower_h)
 
 _KERNELS = {
-    ConeFamily.LOG: _Kernel(_log_domain, _log_gradient, value=_log_value),
-    ConeFamily.HPOWER: _Kernel(_power_domain, _hpower_gradient, _hpower_h),
-    ConeFamily.HGEOM: _Kernel(_hgeom_domain, _hgeom_gradient, _hpower_h, _hgeom_value),
+    ConeFamily.LOG: _Kernel(_log_domain, _log_gradient, _log_value),
+    ConeFamily.HPOWER: _Kernel(_power_domain, _hpower_gradient, _hpower_value, _hpower_h),
+    ConeFamily.HGEOM: _Kernel(_hgeom_domain, _hgeom_gradient, _hgeom_value, _hpower_h),
     ConeFamily.RPOWER: _RADIAL,
     ConeFamily.RGEOM: _RADIAL,
-    ConeFamily.LINF: _Kernel(_linf_domain, _linf_gradient,
+    ConeFamily.LINF: _Kernel(_linf_domain, _linf_gradient, _linf_value,
                              lambda cone, p, q, rv, delta: _linf_reduction(p, rv, delta)[0]),
 }
 
@@ -467,11 +509,8 @@ def conjugate_gradient(cone: ConeDescriptor, r: ConePoint) -> ConjugateResult:
 def conjugate_value(cone: ConeDescriptor, r: ConePoint) -> float:
     """Conjugate barrier value f*(r).
 
-    Closed forms exist for the log, geometric-mean and radial families and
-    their matrix lifts; every other family evaluates ``-nu - f(-g*(r))``.
+    Each family's f* is a closed form in its g* kernel's slack or root,
+    evaluated on the spectrum for a matrix family; none calls the primal
+    barrier.
     """
-    closed = _KERNELS[cone.rules.vector].value
-    if closed is None:
-        g_star = conjugate_gradient(cone, r).g_star
-        return -cone.nu - barrier_value(cone, unpack(cone, -pack(cone, g_star)))
-    return closed(cone, *_dual_domain(cone, r)[2])
+    return _KERNELS[cone.rules.vector].value(cone, *_dual_domain(cone, r)[2])

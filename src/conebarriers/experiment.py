@@ -60,12 +60,11 @@ __all__ = [
     "residual",
     "run_grid",
     "render_table",
-    "DEFAULT_CONES",
-    "MATRIX_CONES",
 ]
 
-DEFAULT_CONES = ["log", "hpower", "hgeom", "rpower", "rgeom", "linf"]
-MATRIX_CONES = ["logdet", "rtdet", "lspec"]
+# the vector cones (the default grid) and their spectral lifts, in RULES order
+DEFAULT_CONES = [f.value for f, rules in RULES.items() if not rules.lift]
+MATRIX_CONES = [f.value for f, rules in RULES.items() if rules.lift]
 
 # cone identifier used in the RNG spawn key; append-only
 _CONE_IDS = {fam: i for i, fam in enumerate(ConeFamily)}

@@ -29,7 +29,6 @@ __all__ = [
     "NonPositiveDefiniteError",
     "sym_eigen",
     "svd",
-    "cholesky_factor",
     "cholesky_solve",
 ]
 

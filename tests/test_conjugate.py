@@ -64,6 +64,52 @@ def dual_boundary_points(cone, r):
                         persp=x if block == "persp" else r.persp, vec=r.vec, mat=r.mat)
 
 
+def mp_conjugate_value(cone, r):
+    """f*(r) = -<r, w> - f(w) at the minimizer w of ``<r, w> + f(w)``, in 50
+    digits and rounded once to binary64, for the binary64 ``r`` and weights
+    (a matrix block's spectrum in 50 digits).  w comes from Newton's root of
+    the family's stationarity condition in y, started at the binary64 root.
+    Binary64 power weights sum to 1 only within an ulp, so the hypograph
+    condition is ``h(y) + (1 - sum alpha) log y = 0``."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        return float(_mp_conjugate_value(mp, cone, r))
+
+
+def _mp_conjugate_value(mp, cone, r):
+    lift = cone.rules.lift
+    if lift == "eig":
+        lam = list(mp.eigsy(mp.matrix(r.mat.tolist()), eigvals_only=True))
+    elif lift == "svd":
+        lam = list(mp.svd_r(mp.matrix(r.mat.tolist()), compute_uv=False))
+    else:
+        lam = [mp.mpf(float(v)) for v in r.vec]
+    d, p = len(lam), mp.mpf(float(r.epi))
+    if cone.rules.vector.value == "linf":
+        y = mp.mpf(float(conjugate_gradient(cone, r).g_star.epi))
+        roots = [mp.sqrt(1 + (v * y) ** 2) for v in lam]
+        for _ in range(6):  # quadratic from a root good to 1e-9
+            y -= (p * y + mp.fsum(roots) + 1) / (
+                p + mp.fsum(v * v * y / s for v, s in zip(lam, roots)))
+            roots = [mp.sqrt(1 + (v * y) ** 2) for v in lam]
+        u, w = -y, [-v * y * y / (s + 1) for v, s in zip(lam, roots)]
+        f = -mp.fsum(mp.log(u * u - x * x) for x in w) + (d - 1) * mp.log(u)
+    else:
+        al = ([mp.mpf(float(a)) for a in cone.alpha] if cone.rules.weights == "given"
+              else [mp.mpf(1) / d] * d)
+        gap = 1 - mp.fsum(al)
+        y = mp.mpf(newton_raphson(lemma_h(cone, r), 0.0).root)
+        for _ in range(6):
+            y -= ((mp.fsum(a * (mp.log(y - p * a) - mp.log(v)) for a, v in zip(al, lam))
+                   + gap * mp.log(y))
+                  / (mp.fsum(a / (y - p * a) for a in al) + gap / y))
+        u, w = 1 / p + 1 / y, [(1 - p * a / y) / v for a, v in zip(al, lam)]
+        phi = mp.exp(mp.fsum(a * mp.log(x) for a, x in zip(al, w)))
+        f = -mp.log(phi - u) - mp.fsum(mp.log(x) for x in w)
+    return -(u * p + mp.fsum(x * v for x, v in zip(w, lam))) - f
+
+
 def roundtrip_error(cone, r):
     """|| -g(-g*(r)) - r || / (1 + ||r||)."""
     res = conjugate_gradient(cone, r)
@@ -501,6 +547,25 @@ class TestConjugateValue:
             f2 = -cone.nu - value(cone, neg(cone, conjugate_gradient(cone, r).g_star))
             assert f1 == pytest.approx(f2, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("family", ["hpower", "hgeom", "rtdet", "linf", "lspec"])
+    def test_matches_mpmath(self, family):
+        # against the conjugate's definition in 50 digits, for the same
+        # binary64 r.  f* moves by sum |g*_i r_i| per unit relative change
+        # of the packed entries, so a few eps times that is the rounding of
+        # the input; -nu - f(-g*) read 7.8 of it here for hpower, where
+        # phi(w) - u cancels
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(5)
+        for o in (1e-1, 1e-3, 1e-6, 1e-9, 1e-12):
+            for _ in range(4):
+                cone = (ConeDescriptor.lspec(4, 6) if family == "lspec"
+                        else random_cone(family, rng, d=4 if family == "rtdet" else 6))
+                r = sample_dual_point(cone, o, rng)
+                g = pack(cone, conjugate_gradient(cone, r).g_star)
+                scale = float(np.abs(g * pack(cone, r)).sum())
+                err = abs(conjugate_value(cone, r) - mp_conjugate_value(cone, r))
+                assert err <= 4 * eps * scale, (o, err / (eps * scale))
+
 
 class TestValidation:
     def test_rejects_non_interior_dual(self):
@@ -517,8 +582,9 @@ class TestValidation:
     @pytest.mark.parametrize("family", MATRIX_FAMILIES)
     def test_one_decomposition_per_call(self, family, rng, monkeypatch):
         # membership is tested on the spectrum the oracle decomposes; no
-        # values-only decomposition runs beside it
-        from conebarriers import conjugate
+        # values-only decomposition runs beside it, and f* calls no primal
+        # oracle that would decompose again
+        from conebarriers import barriers, conjugate
 
         cone = random_cone(family, rng)
         r = sample_dual_point(cone, 1e-3, rng)
@@ -541,8 +607,9 @@ class TestValidation:
                 no_values_only()
             return svd_full(a, *args, **kwargs)
 
-        monkeypatch.setattr(conjugate, "sym_eigen", counted(conjugate.sym_eigen))
-        monkeypatch.setattr(conjugate, "svd", counted(conjugate.svd))
+        for module in (barriers, conjugate):
+            monkeypatch.setattr(module, "sym_eigen", counted(module.sym_eigen))
+            monkeypatch.setattr(module, "svd", counted(module.svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", no_values_only)
         monkeypatch.setattr(np.linalg, "svd", svd_with_frames)
         for oracle in (conjugate_gradient, conjugate_value):
@@ -615,6 +682,23 @@ class TestValidation:
                 assert res.converged
                 assert res.residual <= 0.25 * cone.nu
                 assert math.isfinite(conjugate_value(cone, pt))
+
+    def test_hpower_value_at_its_own_cap(self):
+        # within a few ulps of power_cap the root rounds to 0, or to where
+        # -g* is not inside the primal cone; f* then raises NotInteriorError,
+        # not a division by zero or a math domain error
+        from conebarriers.conjugate import power_cap
+
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            cone = random_cone("hpower", rng, d=6)
+            r = sample_dual_point(cone, 1e-3, rng)
+            cap = power_cap(cone.alpha, r.vec)
+            for x in -cap + np.spacing(cap) * np.arange(-8, 9):
+                try:
+                    assert math.isfinite(conjugate_value(cone, ConePoint(epi=x, vec=r.vec)))
+                except NotInteriorError:
+                    pass
 
     @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "rpower", "rgeom",
                                         "linf", "lspec"])

@@ -317,6 +317,21 @@ class TestCli:
         assert captured.out == ""
         assert "usage: conebench" in captured.err
 
+    def test_no_arguments_build_the_default_config(self, monkeypatch):
+        # every option's default is ExperimentConfig's own; the grid is not run
+        from conebarriers import cli
+
+        class Built(Exception):
+            pass
+
+        def stop(config):
+            raise Built(config)
+
+        monkeypatch.setattr(cli, "run_grid", stop)
+        with pytest.raises(Built) as built:
+            cli_main([])
+        assert built.value.args[0] == ExperimentConfig()
+
     def test_unknown_cone_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["--cones", "bogus"])
