@@ -8,36 +8,35 @@ A workspace builds only at an interior point; :func:`in_interior` is that
 check.
 
 Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
-the family code reads blocks as views of packed float64 vectors and returns
-packed vectors.  :class:`ConePoint` is converted only at the API edge, in
-the base class: a workspace built from a ``ConePoint``, or an oracle called
-with one, returns ``ConePoint`` results.
+the base class splits packed float64 vectors into blocks, the family code
+maps blocks to blocks, and the base class joins the result.
+:class:`ConePoint` is converted only at the API edge, in the base class: a
+workspace built from a ``ConePoint``, or an oracle called with one, returns
+``ConePoint`` results.
 
 A matrix family's workspace is its vector family's with a lift mixin
 (:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
-spectrum in place of the vector block and rotates the gradient back, so only
-the Hessians are written per matrix family; rtdet runs hgeom's weighted
-forms on the eigenvalues, with the equal weights ``1/d``.  The matrix
-Hessians act on the full (not symmetrized) matrix space, where they remain
-symmetric positive definite; applied to symmetric directions they agree with
-the lifted vector-cone Hessians.
+spectrum in place of the vector block and rotates the results back through
+the frames; rtdet runs hgeom's weighted forms on the eigenvalues, with the
+equal weights ``1/d``.  The Hessian is lifted once, in :class:`_MatrixLift`
+(Lewis and Sendov, 2001): in the frames' basis, ``Xt = U^T X V``, it is the
+vector Hessian on ``(u, v, diag Xt)`` and the divided differences of the
+vector gradient on the off-diagonal entries, so a matrix family writes only
+that off-diagonal map.  The lifted Hessians act on the full (not
+symmetrized) matrix space, where they remain symmetric positive definite.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
-factors the dense Hessian, which serves as a test oracle only.
-- log, logdet, rtdet, hpower and hgeom first eliminate the ``u`` row, which
-  fixes ``<grad zeta, y> = -zeta^2 x_u``.  For logdet and rtdet what is
-  left is ``c kron(T, T)`` (``T = W^{-1}``) plus rank-one terms, and
-  ``kron(T, T)^{-1} = kron(W, W)``, so the solve is ``X -> W X W / c`` plus
-  scalar corrections; log is logdet with ``W = diag(w)``.  hpower and hgeom
-  are left with a diagonal minus a rank-one term, solved by
-  Sherman-Morrison.
+factors the dense Hessian, which serves as a test oracle only (for the
+matrix families it is derived independently, in the original coordinates).
+- log, hpower and hgeom first eliminate the ``u`` row, which fixes
+  ``<grad zeta, y> = -zeta^2 x_u``, and are left with a diagonal plus
+  rank-one terms, solved by Sherman-Morrison.
 - rpower and rgeom use the form obtained by differentiating the
   conjugate-gradient map.
-- linf is an arrowhead matrix, solved in O(d).  lspec rotates into the
-  singular basis ``U^T X V``, where the Hessian splits into the linf
-  arrowhead on the diagonal, 2x2 blocks on the off-diagonal pairs and
-  ``2 T`` on the complement of ``V``: four matrix products of size
-  ``d1 x d2`` instead of a factorization of order ``d1 d2 + 1``.
+- linf is an arrowhead matrix, solved in O(d).
+- A lifted Hessian is block diagonal in the frames' basis, so its inverse is
+  the vector inverse on the diagonal and the inverse off-diagonal map: four
+  matrix products of order d instead of a factorization of order ``d^2``.
 
 The denominators are sums of positive terms, so the solves stay accurate
 next to the boundary, where the dense Hessian is too ill-conditioned to
@@ -47,7 +46,6 @@ factor.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +105,10 @@ class BarrierWorkspace:
             raise NotInteriorError(f"point is not in the interior of the {cone.family.value} cone")
 
     # subclasses implement _prepare(epi, persp, w) (w the vector block or
-    # spectrum), which returns whether the point is interior, and
-    # value/_grad_parts/_hessian_apply/_inverse_hessian_apply/_hessian_dense
-    # on packed vectors; the public oracles below are the ConePoint edge
+    # spectrum), which returns whether the point is interior, value,
+    # _grad_parts, _hessian_dense, and _hessian and _inverse_hessian, which
+    # map the blocks (xu, xv, xw) to (yu, yv, yw); the public oracles below
+    # are the ConePoint edge
 
     def _spectrum(self, block: np.ndarray) -> np.ndarray:
         return block
@@ -129,10 +128,12 @@ class BarrierWorkspace:
         return unpack(self.cone, self.x)
 
     def _apply(self, op, x):
-        if isinstance(x, ConePoint):
-            return unpack(self.cone, op(pack(self.cone, x)))
-        y = op(check_packed(self.cone, x))
-        return unpack(self.cone, y) if self._as_points else y
+        as_point = isinstance(x, ConePoint)
+        xu, xv, xvec, xmat = self.layout.blocks(
+            pack(self.cone, x) if as_point else check_packed(self.cone, x))
+        yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
+        y = self.layout.join(yu, yv, vec=yb, mat=yb)
+        return unpack(self.cone, y) if as_point or self._as_points else y
 
     def gradient(self):
         if self._grad is None:
@@ -141,10 +142,10 @@ class BarrierWorkspace:
         return unpack(self.cone, self._grad) if self._as_points else self._grad
 
     def hessian_apply(self, x):
-        return self._apply(self._hessian_apply, x)
+        return self._apply(self._hessian, x)
 
     def inverse_hessian_apply(self, x):
-        return self._apply(self._inverse_hessian_apply, x)
+        return self._apply(self._inverse_hessian, x)
 
     def hessian_dense(self) -> np.ndarray:
         if self._dense is None:
@@ -152,33 +153,64 @@ class BarrierWorkspace:
         return self._dense
 
 
-class _EigenLift:
-    """Runs the vector workspace on the eigenvalues ``W = U diag(lam) U^T``."""
+class _MatrixLift:
+    """Runs the vector workspace on the spectrum of ``W = L diag(w) R^T``
+    (``frames = (L, R)``) and lifts its results back.
 
-    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        self.eig = sym_eigen(mat)
-        return self.eig.values
-
-    def _lift(self, g: np.ndarray) -> np.ndarray:
-        u = self.eig.vectors
-        return (u * g) @ u.T
-
-    @cached_property
-    def _winv(self) -> np.ndarray:
-        u = self.eig.vectors
-        return (u / self.eig.values) @ u.T
-
-
-class _SingularLift:
-    """Runs the vector workspace on the singular values
-    ``W = U diag(sigma) V^T``."""
-
-    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        self.svd = svd(mat)
-        return self.svd.sigma
+    In the frames' basis, ``Xt = L^T X R``, the Hessian is the vector
+    Hessian on ``(xu, xv, diag Xt)`` and the family's ``_offdiag`` map on
+    the other entries, built from the divided differences of the vector
+    gradient; when ``R`` has more rows than columns, the rows of the
+    complement ``L^T X (I - R R^T)`` scale by ``_complement``.  The parts
+    do not couple, so the inverse is the vector inverse with the inverse
+    maps.
+    """
 
     def _lift(self, g: np.ndarray) -> np.ndarray:
-        return (self.svd.U * g) @ self.svd.V.T
+        left, right = self.frames
+        return (left * g) @ right.T
+
+    def _hessian(self, xu, xv, xm):
+        return self._lifted(super()._hessian, False, xu, xv, xm)
+
+    def _inverse_hessian(self, xu, xv, xm):
+        return self._lifted(super()._inverse_hessian, True, xu, xv, xm)
+
+    def _lifted(self, vector_op, inverse, xu, xv, xm):
+        left, right = self.frames
+        ax = left.T @ xm
+        xt = ax @ right
+        yu, yv, ydiag = vector_op(xu, xv, xt.diagonal())
+        yt = self._offdiag(xt, inverse)
+        yt.flat[::yt.shape[0] + 1] = ydiag
+        ym = yt @ right.T
+        if right.shape[0] > right.shape[1]:
+            ym += self._complement(inverse)[:, None] * (ax - xt @ right.T)
+        return yu, yv, left @ ym
+
+
+class _EigenLift(_MatrixLift):
+    """``W = U diag(lam) U^T``.  The vector gradient is ``-c / lam``, so the
+    Hessian maps ``Xt_ij`` to ``c Xt_ij / (lam_i lam_j)``; subclasses
+    define ``_c``."""
+
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        eig = sym_eigen(mat)
+        self.frames = (eig.vectors, eig.vectors)
+        return eig.values
+
+    def _offdiag(self, xt: np.ndarray, inverse: bool) -> np.ndarray:
+        ll = self.w[:, None] * self.w
+        return ll * xt / self._c() if inverse else self._c() * xt / ll
+
+
+class _SingularLift(_MatrixLift):
+    """``W = U diag(sigma) V^T``."""
+
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        dec = svd(mat)
+        self.frames = (dec.U, dec.V)
+        return dec.sigma
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +218,7 @@ class _SingularLift:
 # --------------------------------------------------------------------------
 
 class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
-    """`w` is the vector block or eig(W), `block` is w or W, and `_wxw`
-    applies X -> W X W."""
+    """`w` is the vector block or eig(W)."""
 
     def _prepare(self, u, v, w):
         self.u, self.v, self.w = u, v, w
@@ -208,37 +239,27 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         gw = -(self.v / self.zeta) / self.w - 1.0 / self.w
         return gu, gv, gw
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        # eliminate u; the W block left is c kron(T, T) (T = W^{-1}) plus
-        # rank-one terms, and c kron(T, T) is inverted by X -> W X W / c
-        xu, xv, xvec, xmat = self.layout.blocks(x)
-        xb = xvec if xmat is None else xmat
-        wb, v, zeta, sigma, d = self.block, self.v, self.zeta, self.sigma, self.w.size
+    def _inverse_hessian(self, xu, xv, xw):
+        # eliminate u; the w block left is c diag(w)^-2 plus rank-one terms
+        v, w, zeta, sigma, d = self.v, self.w, self.zeta, self.sigma, self.w.size
         a = 1.0 / zeta
         c = 1.0 + v * a
-        tau = float((wb * xb).sum()) + v * d * xu
+        tau = float((w * xw).sum()) + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
-        yb = (self._wxw(xb) + (v * xu + a * yv) * wb) / c
+        yw = (w**2 * xw + (v * xu + a * yv) * w) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
-        return self.layout.join(yu, yv, vec=yb, mat=yb)
+        return yu, yv, yw
 
-    def _wxw(self, xw: np.ndarray) -> np.ndarray:
-        return self.w**2 * xw
-
-    def _uv_rows(self, xu, xv, tr):
-        # d(zeta) and the u, v rows of H x, with tr = <W^{-1}, X>
-        v, zeta, sigma = self.v, self.zeta, self.sigma
+    def _hessian(self, xu, xv, xw):
+        v, w, zeta, sigma = self.v, self.w, self.zeta, self.sigma
+        tr = float((xw / w).sum())
         dzeta = -xu + sigma * xv + v * tr
-        dsigma = tr - self.w.size * xv / v
-        return dzeta, -dzeta / zeta**2, -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
-
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, xv, xw, _ = self.layout.blocks(x)
-        v, w, zeta = self.v, self.w, self.zeta
-        dzeta, out_u, out_v = self._uv_rows(xu, xv, float((xw / w).sum()))
-        out_w = (-(xv / zeta - v * dzeta / zeta**2) / w
-                 + (v / zeta) * xw / w**2 + xw / w**2)
-        return self.layout.join(out_u, out_v, out_w)
+        dsigma = tr - w.size * xv / v
+        yu = -dzeta / zeta**2
+        yv = -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
+        yw = (-(xv / zeta - v * dzeta / zeta**2) / w
+              + (v / zeta) * xw / w**2 + xw / w**2)
+        return yu, yv, yw
 
     def _hessian_dense(self) -> np.ndarray:
         v, w, zeta = self.v, self.w, self.zeta
@@ -253,23 +274,13 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
 
 
 class _LogDetW(_EigenLift, _LogW, family=ConeFamily.LOGDET):
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, xv, _, xm = self.layout.blocks(x)
-        v, zeta = self.v, self.zeta
-        t = self._winv
-        tx = t @ xm
-        dzeta, out_u, out_v = self._uv_rows(xu, xv, float(np.trace(tx)))
-        c = v / zeta + 1.0
-        dc = xv / zeta - v * dzeta / zeta**2
-        out_m = -dc * t + c * (tx @ t)
-        return self.layout.join(out_u, out_v, mat=out_m)
-
-    def _wxw(self, xm: np.ndarray) -> np.ndarray:
-        return self.block @ xm @ self.block
+    def _c(self) -> float:
+        return self.v / self.zeta + 1.0
 
     def _hessian_dense(self) -> np.ndarray:
         v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.w.size
-        t = self._winv
+        u = self.frames[0]
+        t = (u / self.w) @ u.T
         vt = t.ravel()
         n = 2 + d * d
         h = np.empty((n, n))
@@ -307,15 +318,13 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
         return 1.0 / self.zeta, None, gw
 
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, xw, _ = self.layout.blocks(x)
+    def _hessian(self, xu, _, xw):
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
         dphi = phi * float(np.dot(alpha, xw / w))
         dzeta = -xu + dphi
-        out_u = -dzeta / zeta**2
         dk = dphi / zeta - phi * dzeta / zeta**2
-        out_w = -alpha * dk / w + (phi / zeta) * alpha * xw / w**2 + xw / w**2
-        return self.layout.join(out_u, vec=out_w)
+        yw = -alpha * dk / w + (phi / zeta) * alpha * xw / w**2 + xw / w**2
+        return -dzeta / zeta**2, None, yw
 
     def _hessian_dense(self) -> np.ndarray:
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
@@ -327,11 +336,10 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         h[idx, idx] += alpha * phi / (zeta * w**2) + 1.0 / w**2
         return h
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+    def _inverse_hessian(self, xu, _, xw):
         # eliminate u: <grad zeta, y> = -zeta^2 xu leaves D - (phi/zeta) a a^T
         # with a = alpha/w and D^{-1} = w^2/k1, solved by Sherman-Morrison
         # with a denominator k3 that is a sum of positive terms
-        xu, _, xw, _ = self.layout.blocks(x)
         w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
         a = alpha / w
         k1 = 1.0 + (phi / zeta) * alpha
@@ -340,40 +348,17 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         k3 = float((alpha / k1).sum()) + self.cone.alpha_gap
         yw = dinv_b + ((phi / zeta) * float(np.dot(a, dinv_b)) / k3) * dinv_a
         yu = zeta**2 * xu + phi * float(np.dot(a, yw))
-        return self.layout.join(yu, vec=yw)
+        return yu, None, yw
 
 
 class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, _, xm = self.layout.blocks(x)
-        phi, zeta, d = self.phi, self.zeta, self.w.size
-        t = self._winv
-        tx = t @ xm
-        dphi = (phi / d) * float(np.trace(tx))
-        dzeta = -xu + dphi
-        out_u = -dzeta / zeta**2
-        c = phi / (d * zeta) + 1.0
-        dc = dphi / (d * zeta) - phi * dzeta / (d * zeta**2)
-        out_m = -dc * t + c * (tx @ t)
-        return self.layout.join(out_u, mat=out_m)
-
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, _, xm = self.layout.blocks(x)
-        phi, zeta, d = self.phi, self.zeta, self.w.size
-        # eliminate u, then invert c kron(T, T) by X -> W X W / c
-        w = self.block
-        a = 1.0 / zeta
-        c = 1.0 + a * phi / d
-        beta = a * phi / d**2
-        k = (phi / d) * xu
-        tau = float((w * xm).sum()) + d * k
-        ym = (w @ xm @ w + (k + beta * tau) * w) / c
-        yu = (phi / d) * tau + zeta**2 * xu
-        return self.layout.join(yu, mat=ym)
+    def _c(self) -> float:
+        return self.phi / (self.w.size * self.zeta) + 1.0
 
     def _hessian_dense(self) -> np.ndarray:
         phi, zeta, d = self.phi, self.zeta, self.w.size
-        t = self._winv
+        u = self.frames[0]
+        t = (u / self.w) @ u.T
         vt = t.ravel()
         n = 1 + d * d
         h = np.empty((n, n))
@@ -412,8 +397,8 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
     def _grad_parts(self):
         return 2.0 * self.u / self.zeta, None, self.gw
 
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, xw = x[self.layout.epi], x[self.layout.vec]
+    def _hessian(self, xu, _, xw):
+        xu = np.atleast_1d(xu)
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
         dphi = 2.0 * phi * float(np.dot(alpha, xw / w))
         dzeta = dphi - 2.0 * float(np.dot(u, xu))
@@ -422,7 +407,7 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         out_w = (-2.0 * alpha * dk / w
                  + 2.0 * alpha * phi * xw / (zeta * w**2)
                  + (1.0 - alpha) * xw / w**2)
-        return self.layout.join(out_u, vec=out_w)
+        return out_u, None, out_w
 
     def _hessian_dense(self) -> np.ndarray:
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
@@ -437,9 +422,9 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         h[iw, iw] += 2.0 * alpha * phi / (zeta * w**2) + (1.0 - alpha) / w**2
         return h
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
+    def _inverse_hessian(self, xu, _, z):
         # closed form derived by differentiating the conjugate-gradient map
-        xu, z = x[self.layout.epi], x[self.layout.vec]
+        xu = np.atleast_1d(xu)
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
         gw = self.gw
         k1 = phi + self.nrm2
@@ -449,29 +434,12 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         s = float((alpha * z / gw).sum())
         out_u = 0.5 * zeta * xu - (u / k3) * (((2.0 * k2 * phi + zeta * k3) / k1) * xu_u + s)
         out_w = -(w / gw) * z - (alpha / (k3 * gw)) * (xu_u - (2.0 * self.nrm2 / zeta) * s)
-        return self.layout.join(out_u, vec=out_w)
+        return out_u, None, out_w
 
 
 # --------------------------------------------------------------------------
 # infinity norm cone and spectral norm cone
 # --------------------------------------------------------------------------
-
-def _norm_arrowhead(u: float, s: np.ndarray, zi: np.ndarray, xu: float,
-                    xs: np.ndarray) -> tuple[float, np.ndarray]:
-    """u row of the linf Hessian, or of lspec's in the singular basis.
-
-    The Hessian restricted to ``(u, s)`` (``s = w`` or the singular values,
-    ``zi = u^2 - s^2``, ``q = u^2 + s^2``) is an arrowhead: diagonal
-    ``2 q / zi^2`` bordered by the u row ``-4 u s / zi^2``.  Its Schur
-    complement is the sum of positive terms ``(1 + sum(zi / q)) / u^2``.
-    Returns ``y_u`` and the coupling ``e = 2 u s / q``; the diagonal part
-    of the solution is ``zi^2 xs / (2 q) + e y_u``.
-    """
-    q = u * u + s * s
-    e = 2.0 * u * s / q
-    yu = u * u * (xu + float(np.dot(e, xs))) / (1.0 + float((zi / q).sum()))
-    return yu, e
-
 
 class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self, u, _, w):
@@ -487,14 +455,12 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         gu = (d - 1) / self.u - 2.0 * self.u * float((1.0 / self.zi).sum())
         return gu, None, 2.0 * self.w / self.zi
 
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, xw, _ = self.layout.blocks(x)
+    def _hessian(self, xu, _, xw):
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         dz = 2.0 * u * xu - 2.0 * w * xw
         out_u = -(d - 1) * xu / u**2 - float((2.0 * xu / zi - 2.0 * u * dz / zi**2).sum())
-        out_w = 2.0 * xw / zi - 2.0 * w * dz / zi**2
-        return self.layout.join(out_u, vec=out_w)
+        return out_u, None, 2.0 * xw / zi - 2.0 * w * dz / zi**2
 
     def _hessian_dense(self) -> np.ndarray:
         u, w, zi = self.u, self.w, self.zi
@@ -507,37 +473,42 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         h[idx, idx] = 2.0 * (u**2 + w**2) / zi**2
         return h
 
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, xw, _ = self.layout.blocks(x)
+    def _inverse_hessian(self, xu, _, xw):
+        # an arrowhead: diagonal 2 q / zi^2 (q = u^2 + w^2) bordered by the
+        # u row -4 u w / zi^2, whose Schur complement is the sum of positive
+        # terms (1 + sum(zi / q)) / u^2
         u, w, zi = self.u, self.w, self.zi
-        yu, e = _norm_arrowhead(u, w, zi, xu, xw)
-        yw = zi**2 * xw / (2.0 * (u * u + w * w)) + e * yu
-        return self.layout.join(yu, vec=yw)
+        q = u * u + w * w
+        e = 2.0 * u * w / q
+        yu = u * u * (xu + float(np.dot(e, xw))) / (1.0 + float((zi / q).sum()))
+        return yu, None, zi**2 * xw / (2.0 * q) + e * yu
 
 
 class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
-    def _hess_parts(self):
-        # T = (u^2 I - W W^T)^{-1} from the left singular basis, the u-u
-        # entry of the Hessian, T^2 W and T W
-        uu, zi, u = self.svd.U, self.zi, self.u
-        t = (uu / zi) @ uu.T
-        huu = (-2.0 * float((1.0 / zi).sum()) - (self.w.size - 1) / u**2
-               + 4.0 * u**2 * float((1.0 / zi**2).sum()))
-        return t, huu, (uu * (self.w / zi**2)) @ self.svd.V.T, t @ self.block
+    def _offdiag(self, xt: np.ndarray, inverse: bool) -> np.ndarray:
+        # (Xt_ij, Xt_ji) -> (2 / (z_i z_j)) [[u^2, s_i s_j], [s_i s_j, u^2]],
+        # inverted with u^2 - s_i s_j free of cancellation
+        u2, s, zi = self.u * self.u, self.w, self.zi
+        ss = s[:, None] * s
+        if inverse:
+            gap = 0.5 * (zi[:, None] + zi + (s[:, None] - s)**2)
+            return zi[:, None] * zi * (u2 * xt - ss * xt.T) / (2.0 * gap * (u2 + ss))
+        return 2.0 * (u2 * xt + ss * xt.T) / (zi[:, None] * zi)
 
-    def _hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        xu, _, _, xm = self.layout.blocks(x)
-        u, w = self.u, self.block
-        t, huu, t2w, tw = self._hess_parts()
-        out_u = huu * xu - 4.0 * u * float((t2w * xm).sum())
-        out_m = -4.0 * u * xu * (t @ tw) \
-            + 2.0 * t @ (xm @ w.T + w @ xm.T) @ tw + 2.0 * t @ xm
-        return self.layout.join(out_u, mat=out_m)
+    def _complement(self, inverse: bool) -> np.ndarray:
+        # the Hessian is X -> 2 T X there, T = (u^2 I - W W^T)^{-1}
+        return 0.5 * self.zi if inverse else 2.0 / self.zi
 
     def _hessian_dense(self) -> np.ndarray:
-        u, w = self.u, self.block
+        u, w, zi, s = self.u, self.block, self.zi, self.w
+        uu, vv = self.frames
         d1, d2 = w.shape
-        t, huu, t2w, tw = self._hess_parts()
+        # T, the u-u entry of the Hessian, T^2 W and T W
+        t = (uu / zi) @ uu.T
+        huu = (-2.0 * float((1.0 / zi).sum()) - (s.size - 1) / u**2
+               + 4.0 * u**2 * float((1.0 / zi**2).sum()))
+        t2w = (uu * (s / zi**2)) @ vv.T
+        tw = t @ w
         n = 1 + d1 * d2
         h = np.empty((n, n))
         h[0, 0] = huu
@@ -548,31 +519,6 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
         block += 2.0 * np.einsum("ik,lj->ijlk", tw, tw).reshape(n - 1, n - 1)
         h[1:, 1:] = block
         return h
-
-    def _inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
-        # in the singular basis, Xt = U^T X V, the Hessian splits into the
-        # linf arrowhead on (u, diag Xt), 2x2 blocks
-        # (2 / (z_i z_j)) [[u^2, s_i s_j], [s_i s_j, u^2]] on (Xt_ij, Xt_ji),
-        # and X -> 2 T X on the complement X (I - V V^T) when d1 < d2
-        xu, _, _, xm = self.layout.blocks(x)
-        u, zi = self.u, self.zi
-        uu, s, vv = self.svd.U, self.svd.sigma, self.svd.V
-        ax = uu.T @ xm
-        xt = ax @ vv
-        u2 = u * u
-        ss = np.outer(s, s)
-        # u^2 - s_i s_j without cancellation; zi^2 / (2 q) on the diagonal
-        gap = 0.5 * (zi[:, None] + zi[None, :] + (s[:, None] - s[None, :])**2)
-        yt = np.outer(zi, zi) * (u2 * xt - ss * xt.T) / (2.0 * gap * (u2 + ss))
-        yu, e = _norm_arrowhead(u, s, zi, xu, np.diagonal(xt))
-        yt[np.diag_indices_from(yt)] += e * yu
-        if vv.shape[0] > vv.shape[1]:
-            # U [Yt V^T + diag(zi) U^T X (I - V V^T) / 2]
-            half = 0.5 * zi[:, None]
-            ym = uu @ ((yt - half * xt) @ vv.T + half * ax)
-        else:
-            ym = uu @ yt @ vv.T
-        return self.layout.join(yu, mat=ym)
 
 
 # --------------------------------------------------------------------------

@@ -177,12 +177,16 @@ def power_cap(alpha, r) -> float:
 
 
 def _rgeom_yminus(d2: int, s: float, m: float) -> float:
-    # m = prod r_i^alpha_i, phi = m^2; factored denominator avoids squaring;
-    # its factor m d2 - s is rgeom's dual slack
-    phi = m * m
-    denom = (m * d2 - s) * (m * d2 + s)
+    # m = prod r_i^alpha_i; the root -1/s + d2 (s + sqrt(m^2 ((m d2 / s)^2
+    # + d2^2 - 1))) / ((m d2)^2 - s^2) with -1/s cancelled against the square
+    # root's leading term in closed form: for small s those two terms are of
+    # size 1/s and the root of size s.  The denominator's factor m d2 - s is
+    # rgeom's dual slack
+    md2 = m * d2
+    denom = (md2 - s) * (md2 + s)
     _require(denom > 0.0, "rgeom", "m d2 - s")
-    return -1.0 / s + d2 * (s + math.sqrt(phi * ((d2 / s) ** 2 * phi + d2 * d2 - 1.0))) / denom
+    eps = (d2 * d2 - 1.0) * (s / md2) ** 2
+    return s * ((1.0 + d2) + (d2 * d2 - 1.0) / (1.0 + math.sqrt(1.0 + eps))) / denom
 
 
 def _rpower_tail_start(alpha: np.ndarray, s: float, a: float) -> float | None:
@@ -325,6 +329,8 @@ def _log_value(cone, p, q, rv, wbar) -> float:
 def _hpower_gradient(cone, p, q, rv, _):
     res = newton_raphson(_hpower_h(cone, p, q, rv), 0.0, StopRule())
     yhat = res.root
+    # within a few ulps of power_cap the root can round to 0
+    _require(yhat > 0.0, "hpower", "y")
     return -1.0 / p - 1.0 / yhat, None, (p * cone.alpha / yhat - 1.0) / rv, res
 
 

@@ -149,16 +149,36 @@ class TestHessian:
             assert np.linalg.norm(hmat @ x - hx) <= 1e-10 * (1 + np.linalg.norm(hx))
 
     def test_matrix_cone_diagonal_matches_vector(self, rng):
+        # at a diagonal point and direction, the lifted Hessian and its
+        # inverse are the vector family's on the diagonal and zero off it
         d = 4
-        w = rng.uniform(0.5, 2.0, d)
-        u = np.exp(np.mean(np.log(w))) - 0.5
-        xv = rng.standard_normal(1 + d)
-        direction_v = ConePoint(epi=xv[0], vec=xv[1:])
-        direction_m = ConePoint(epi=xv[0], mat=np.diag(xv[1:]))
-        hv = hessian_apply(ConeDescriptor.hgeom(d), ConePoint(epi=u, vec=w), direction_v)
-        hm = hessian_apply(ConeDescriptor.rtdet(d), ConePoint(epi=u, mat=np.diag(w)), direction_m)
-        assert hm.epi == pytest.approx(hv.epi, rel=1e-12)
-        np.testing.assert_allclose(np.diag(hm.mat), hv.vec, rtol=1e-12)
+        for _ in range(10):
+            w = rng.uniform(0.5, 2.0, d)
+            v = rng.uniform(0.5, 2.0)
+            signed = w * rng.choice([-1.0, 1.0], d)
+            pairs = [
+                (ConeDescriptor.log(d), ConeDescriptor.logdet(d), w,
+                 {"epi": v * (np.log(w).sum() - d * np.log(v)) - 0.5, "persp": v}),
+                (ConeDescriptor.hgeom(d), ConeDescriptor.rtdet(d), w,
+                 {"epi": np.exp(np.mean(np.log(w))) - 0.5}),
+                (ConeDescriptor.linf(d), ConeDescriptor.lspec(d, d), signed,
+                 {"epi": np.abs(signed).max() + 0.5}),
+            ]
+            for cone_v, cone_m, vec, scalars in pairs:
+                x = rng.standard_normal(cone_v.ambient_dim)
+                xs = dict(zip(scalars, x))
+                xvec = x[len(xs):]
+                for oracle in (hessian_apply, inverse_hessian_apply):
+                    yv = oracle(cone_v, ConePoint(vec=vec, **scalars),
+                                ConePoint(vec=xvec, **xs))
+                    ym = oracle(cone_m, ConePoint(mat=np.diag(vec), **scalars),
+                                ConePoint(mat=np.diag(xvec), **xs))
+                    assert ym.epi == pytest.approx(yv.epi, rel=1e-12)
+                    if "persp" in scalars:
+                        assert ym.persp == pytest.approx(yv.persp, rel=1e-12)
+                    np.testing.assert_allclose(np.diag(ym.mat), yv.vec, rtol=1e-12)
+                    off = ym.mat - np.diag(np.diag(ym.mat))
+                    assert np.abs(off).max() <= 1e-12 * np.abs(yv.vec).max()
 
 
 class TestPackedWorkspace:

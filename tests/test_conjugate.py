@@ -422,6 +422,43 @@ class TestLemmaH:
                                                      for ai, ri in zip(al, rv))
                     assert abs(h) <= 64 * eps * scale
 
+    @pytest.mark.parametrize("s", [1e-7, 1e-9, 1e-11])
+    @pytest.mark.parametrize("family", ["rgeom", "rpower"])
+    def test_radial_root_at_small_norm_matches_mpmath(self, family, s):
+        # the root y = g*_p is of size s, and the closed-form root of the
+        # equal-weight reduction (rgeom's g*, rpower's start) is a difference
+        # of two terms of size 1/s unless that is cancelled in closed form;
+        # uncancelled, it can read the wrong sign, or start rpower's
+        # iteration at y <= 0.  The reference is the 50-digit root of the
+        # direct form of h, for the same binary64 inputs; rgeom's root is
+        # closed form, rpower's meets the Newton-Raphson stop rule, |h/h'|
+        # below 1e-9 relative
+        import mpmath as mp
+
+        rv = np.array([0.3, 0.6, 0.9])
+        if family == "rgeom":
+            cone, r = ConeDescriptor.rgeom(3), ConePoint(epi=s, vec=rv)
+        else:
+            cone = ConeDescriptor.rpower(2, np.array([0.2, 0.3, 0.5]))
+            r = ConePoint(epi=np.array([s, 0.0]), vec=rv)
+        res = conjugate_gradient(cone, r)
+        yhat = float(np.atleast_1d(res.g_star.epi)[0])
+        assert res.converged and yhat > 0.0
+        with mp.workdps(50):
+            sm = mp.mpf(s)
+            al = [mp.mpf(float(v)) for v in cone.alpha]
+            rr = [mp.mpf(float(v)) for v in rv]
+
+            def h(t):
+                # h at y = s t, scaled so that the root t is of order 1
+                y = sm * t
+                return (mp.fsum(2 * ai * mp.log(2 * ai * y * y + 2 * y * (1 + ai) / sm)
+                                - 2 * ai * mp.log(ri) for ai, ri in zip(al, rr))
+                        - mp.log(2 * y / sm + y * y) - 2 * mp.log(2 * y / sm))
+
+            y = sm * mp.findroot(h, mp.mpf(yhat / s))
+            assert abs(yhat - y) <= (1e-13 if family == "rgeom" else 1e-9) * y
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -699,6 +736,28 @@ class TestValidation:
                     assert math.isfinite(conjugate_value(cone, ConePoint(epi=x, vec=r.vec)))
                 except NotInteriorError:
                     pass
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_hpower_gradient_at_its_own_cap(self, seed):
+        # the 17-float probe on hpower's own boundary power_cap(alpha, r):
+        # where the root rounds to 0, g* raises NotInteriorError, not a
+        # division by zero.  Membership still accepts such points
+        from conebarriers.conjugate import power_cap
+
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            cone = random_cone("hpower", rng, d=6)
+            r = sample_dual_point(cone, 1e-3, rng)
+            cap = power_cap(cone.alpha, r.vec)
+            for x in -cap + np.spacing(cap) * np.arange(-8, 9):
+                pt = ConePoint(epi=x, vec=r.vec)
+                if not dual_in_interior(cone, pt):
+                    continue
+                try:
+                    g_star = conjugate_gradient(cone, pt).g_star
+                except NotInteriorError:
+                    continue
+                assert np.all(np.isfinite(pack(cone, g_star)))
 
     @pytest.mark.parametrize("family", ["log", "logdet", "hgeom", "rtdet", "rpower", "rgeom",
                                         "linf", "lspec"])
