@@ -49,7 +49,7 @@ from .cones import (
     unpack,  # noqa: F401  # wrapped by perfbench/tracer.py
 )
 from .linalg import sym_eigen, svd
-from .scalars import StopRule, newton_raphson, wright_omega
+from .scalars import newton_raphson, wright_omega
 
 __all__ = [
     "ConjugateResult",
@@ -327,7 +327,7 @@ def _log_value(cone, p, q, rv, wbar) -> float:
 
 
 def _hpower_gradient(cone, p, q, rv, _):
-    res = newton_raphson(_hpower_h(cone, p, q, rv), 0.0, StopRule())
+    res = newton_raphson(_hpower_h(cone, p, q, rv), 0.0)
     yhat = res.root
     # within a few ulps of power_cap the root can round to 0
     _require(yhat > 0.0, "hpower", "y")
@@ -354,7 +354,7 @@ def _power_value(cone, p, rv, yhat, h, gap=0.0) -> float:
 
 def _hpower_value(cone, p, q, rv, _) -> float:
     fn = _hpower_h(cone, p, q, rv)
-    yhat = newton_raphson(fn, 0.0, StopRule()).root
+    yhat = newton_raphson(fn, 0.0).root
     return _power_value(cone, p, rv, yhat, fn(yhat)[0],
                         -math.fsum([-1.0] + cone.alpha.tolist()))
 
@@ -377,7 +377,7 @@ def _radial_gradient(cone, p, q, rv, root):
     p, s, fn, yhat = root
     alpha, res = cone.alpha, None
     if fn is not None:
-        res = newton_raphson(fn, yhat, StopRule())
+        res = newton_raphson(fn, yhat)
         yhat = res.root
     if yhat is None:
         gp = np.zeros_like(p)
@@ -404,7 +404,7 @@ def _linf_root(p, rv, delta):
     fn, y0 = _linf_reduction(p, rv, delta)
     if not (rv != 0.0).any():
         return fn, -(rv.size + 1.0) / p, None
-    res = newton_raphson(fn, y0, StopRule())
+    res = newton_raphson(fn, y0)
     return fn, res.root, res
 
 

@@ -50,7 +50,6 @@ from .cones import (
     pack,  # noqa: F401  # wrapped by perfbench/tracer.py
 )
 from .conjugate import conjugate_gradient, dual_in_interior, power_cap
-from .linalg import NonPositiveDefiniteError
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
 
 __all__ = [
@@ -240,7 +239,7 @@ def run_grid(config: ExperimentConfig) -> list[IterationStats]:
                         spec = conjugate_gradient(cone, point)
                         gen, trace = generic_conjugate_gradient(
                             cone, point, eps=config.eps)
-                    except (NotInteriorError, NonPositiveDefiniteError, RuntimeError):
+                    except (NotInteriorError, RuntimeError):
                         failures += 1
                         continue
                     ok_generic = trace.status in (NewtonStatus.CONVERGED,

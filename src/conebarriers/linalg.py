@@ -1,11 +1,11 @@
-"""Dense linear algebra used by the matrix cones and the generic solver.
+"""Dense linear algebra used by the matrix cones' primal and dual oracles.
 
 Thin wrappers over LAPACK (via numpy, and scipy for Cholesky) that enforce
 the contracts the rest of the package relies on: validated symmetry and
 descending spectra.  :class:`NonPositiveDefiniteError` is the distinct error
-type of a failed positive-definiteness check; the generic Newton solver
-raises it for a non-finite local norm and reports that the iterate left the
-cone interior instead of crashing.
+type of a failed Cholesky pivot, raised only by the dense test oracle
+below; the generic Newton solver never factorizes and reports a non-finite
+local norm as a status, not as this error.
 
 No barrier solves with a Cholesky factorization: every family has a
 closed-form inverse Hessian.  The Cholesky routines solve with the dense
@@ -36,7 +36,7 @@ _SYM_TOL = 1e-13
 
 
 class NonPositiveDefiniteError(ArithmeticError):
-    """A Cholesky factorization hit a non-positive pivot."""
+    """A Cholesky pivot failed; only :func:`cholesky_factor` raises it."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,8 @@ def cholesky_factor(h: np.ndarray) -> np.ndarray:
     """Cholesky factor of a symmetric positive definite matrix.
 
     The factor is the lower triangle of the returned array; the strict upper
-    triangle is left as LAPACK leaves it.  Raises
-    :class:`NonPositiveDefiniteError` when a pivot fails, which the Newton
-    solver interprets as the evaluation point having left the cone interior.
+    triangle is left as LAPACK leaves it.  A failed pivot raises
+    :class:`NonPositiveDefiniteError`.
     """
     from scipy.linalg.lapack import dpotrf
 

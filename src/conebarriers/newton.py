@@ -7,9 +7,14 @@ interior.  The local norm of the objective gradient,
 
 drives everything: steps are damped by ``1/(1+lambda)`` until ``lambda``
 drops below ``(3 - sqrt(5))/2``, after which full Newton steps converge
-quadratically; the iteration stops at ``lambda <= eps``, on a
-slow-progress (stall) test, on an iteration cap, or if a step cannot be
-kept inside the cone.  The minimizer negated is the conjugate gradient.
+quadratically.  Each iterate's workspace gives ``lambda`` and the step
+once, and the stop tests run in this order: ``STALLED`` if ``lambda``
+exceeds ``1000 (lambda'/(1 - lambda'))^2`` for the previous ``lambda'``,
+``CONVERGED`` if ``lambda <= eps``, ``ITERATION_CAP`` at the step cap.
+Otherwise the step is halved until its workspace builds.  A start point
+that is not interior, a non-finite ``lambda`` or a step that no halving
+keeps interior ends the solve as ``LEFT_INTERIOR``.  The iterate of least
+``lambda`` (the last one, if converged), negated, is the conjugate gradient.
 
 ``lambda`` is evaluated from its definition above with the same solve that
 produces the step.  The algebraically equal form
@@ -42,7 +47,6 @@ from .cones import (
     unpack,
 )
 from .conjugate import ConjugateResult, dual_in_interior
-from .linalg import NonPositiveDefiniteError
 
 __all__ = [
     "NewtonStatus",
@@ -117,9 +121,7 @@ def generic_conjugate_gradient(
     """Compute g*(r) by Newton iteration on ``<r, w> + f(w)``.
 
     Returns the conjugate result (``iterations`` counts Newton steps) and
-    the solver trace with the sequence of local norms.  A stalled run
-    returns the best iterate seen, mirroring the use of stalling as a
-    stopping rather than failure condition.
+    the solver trace with the sequence of local norms.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive; got {eps!r}")
@@ -132,74 +134,60 @@ def generic_conjugate_gradient(
 
     rf = pack(cone, r)
     wf = pack(cone, w0) if w0 is not None else _initial_packed(cone, rf)
-
-    def lam_and_direction(ws: BarrierWorkspace):
+    status = NewtonStatus.LEFT_INTERIOR
+    iterations, lambdas, best_lam, best_wf = 0, [], math.inf, wf
+    # NaN compares false, so the stall test cannot fire at the start point
+    lam_prev = math.nan
+    try:
+        ws = BarrierWorkspace(cone, wf)
+    except NotInteriorError:
+        # the constructed initial point is interior by design; only extreme
+        # scaling can break it in floating point
+        ws = None
+    while ws is not None:
         grad_obj = ws.gradient() + rf
         step = ws.inverse_hessian_apply(grad_obj)
         rad = float(np.dot(grad_obj, step))
         if not math.isfinite(rad):
             # closed-form inverses have no pivot check; a non-finite local
             # norm means the iterate is numerically off the interior
-            raise NonPositiveDefiniteError("non-finite local norm")
-        return math.sqrt(max(rad, 0.0)), step
-
-    status = NewtonStatus.CONVERGED
-    iterations = 0
-    try:
-        ws = BarrierWorkspace(cone, wf)
-        lam, step = lam_and_direction(ws)
-    except (NotInteriorError, NonPositiveDefiniteError):
-        # the constructed initial point is interior by design; only extreme
-        # scaling can break it in floating point
-        status = NewtonStatus.LEFT_INTERIOR
-        lam, step = math.inf, None
-    lambdas = [lam]
-    best_lam, best_wf = lam, wf.copy()
-
-    while status is NewtonStatus.CONVERGED and lam > eps:
-        if iterations >= _MAX_ITER:
-            status = NewtonStatus.ITERATION_CAP
             break
-        alpha = 1.0 / (1.0 + lam) if lam > DAMPED_THRESHOLD else 1.0
-        accepted = None
-        for _ in range(_MAX_BACKTRACKS + 1):
-            cand = wf - alpha * step
-            _symmetrize_inplace(cone, cand)
-            try:
-                cand_ws = BarrierWorkspace(cone, cand)
-                accepted = (cand, cand_ws)
-                break
-            except NotInteriorError:
-                alpha *= 0.5
-        if accepted is None:
-            status = NewtonStatus.LEFT_INTERIOR
-            break
-        wf, ws = accepted[0], accepted[1]
-        iterations += 1
-        lam_prev = lam
-        try:
-            lam, step = lam_and_direction(ws)
-        except NonPositiveDefiniteError:
-            status = NewtonStatus.LEFT_INTERIOR
-            break
+        lam = math.sqrt(max(rad, 0.0))
         lambdas.append(lam)
         if lam < best_lam:
-            best_lam, best_wf = lam, wf.copy()
+            best_lam, best_wf = lam, wf
         # insufficient progress between consecutive iterations; near the
         # boundary the local norm floors above eps at round-off level, so
         # this is the stop that ends deep-offset runs
         if lam_prev != 1.0 and lam > 1000.0 * (lam_prev / (1.0 - lam_prev)) ** 2:
             status = NewtonStatus.STALLED
             break
+        if lam <= eps:
+            status = NewtonStatus.CONVERGED
+            break
+        if iterations >= _MAX_ITER:
+            status = NewtonStatus.ITERATION_CAP
+            break
+        alpha = 1.0 / (1.0 + lam) if lam > DAMPED_THRESHOLD else 1.0
+        for _ in range(_MAX_BACKTRACKS + 1):
+            cand = wf - alpha * step
+            _symmetrize_inplace(cone, cand)
+            try:
+                ws = BarrierWorkspace(cone, cand)
+                break
+            except NotInteriorError:
+                alpha *= 0.5
+        else:  # no halving keeps the step interior
+            break
+        wf, lam_prev = cand, lam
+        iterations += 1
 
-    if status is not NewtonStatus.CONVERGED:
-        wf = best_wf
-    g_star = unpack(cone, -wf)
-    residual = abs(float(np.dot(-wf, rf)) + cone.nu)
+    g_star = unpack(cone, -best_wf)
+    residual = abs(float(np.dot(-best_wf, rf)) + cone.nu)
     result = ConjugateResult(
         g_star=g_star,
         iterations=iterations,
         residual=residual,
         converged=status is NewtonStatus.CONVERGED,
     )
-    return result, NewtonTrace(iterations=iterations, lambdas=lambdas, status=status)
+    return result, NewtonTrace(iterations, lambdas or [math.inf], status)

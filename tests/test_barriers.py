@@ -89,7 +89,8 @@ class TestGradient:
     def test_logdet_diagonal_matches_log(self, rng):
         d = 4
         w = rng.uniform(0.5, 2.0, d)
-        v, u = 1.3, -1.0
+        v = 1.3
+        u = v * (np.log(w).sum() - d * np.log(v)) - 0.5
         glog = gradient(ConeDescriptor.log(d), ConePoint(epi=u, persp=v, vec=w))
         gldet = gradient(ConeDescriptor.logdet(d),
                          ConePoint(epi=u, persp=v, mat=np.diag(w)))

@@ -8,6 +8,7 @@ from conebarriers import (
     ConeDescriptor,
     ConePoint,
     NotInteriorError,
+    StopRule,
     conjugate_gradient,
     conjugate_value,
     dual_in_interior,
@@ -396,7 +397,7 @@ class TestLemmaH:
 
         roots = []
 
-        def spy(fn, y0, stop):
+        def spy(fn, y0, stop=StopRule()):
             res = newton_raphson(fn, y0, stop)
             roots.append(res)
             return res

@@ -20,7 +20,7 @@ from conebarriers import (
     sample_dual_point,
     unpack,
 )
-from conebarriers import barriers
+from conebarriers import barriers, newton
 from conftest import ALL_FAMILIES, interior_point, random_cone
 
 
@@ -242,3 +242,91 @@ class TestGenericSolver:
         spec = conjugate_gradient(cone, r)
         diff = np.linalg.norm(pack(cone, gen.g_star) - pack(cone, spec.g_star))
         assert diff <= 1e-6 * (1 + np.linalg.norm(pack(cone, spec.g_star)))
+
+
+class TestRareExits:
+    """The exits that the solves above never reach: a start point whose
+    workspace does not build, a non-finite local norm at the start, a
+    backtracked step and the iteration cap."""
+
+    @staticmethod
+    def problem(rng):
+        cone = ConeDescriptor.log(6)
+        return cone, sample_dual_point(cone, 1e-1, rng)
+
+    @staticmethod
+    def start_lambda(cone, r, w):
+        # the local norm the solver computes at w, as the first entry of a
+        # run started there
+        return generic_conjugate_gradient(cone, r, w0=w)[1].lambdas[0]
+
+    def assert_stopped_at_start(self, cone, r, res, trace):
+        assert trace.status is NewtonStatus.LEFT_INTERIOR
+        assert trace.iterations == res.iterations == 0
+        assert trace.lambdas == [np.inf]
+        assert not res.converged
+        w = pack(cone, default_initial_point(cone, r))
+        np.testing.assert_array_equal(pack(cone, res.g_star), -w)
+        assert res.residual == abs(float(np.dot(-w, pack(cone, r)))
+                                   + cone.nu)
+
+    def test_start_workspace_not_built(self, rng, monkeypatch):
+        cone, r = self.problem(rng)
+
+        def refuse(cone, x):
+            raise NotInteriorError("refused")
+
+        monkeypatch.setattr(newton, "BarrierWorkspace", refuse)
+        res, trace = generic_conjugate_gradient(cone, r)
+        self.assert_stopped_at_start(cone, r, res, trace)
+
+    def test_nan_step_at_start(self, rng, monkeypatch):
+        cone, r = self.problem(rng)
+        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+        monkeypatch.setattr(cls, "inverse_hessian_apply",
+                            lambda ws, x: np.full(cone.ambient_dim, np.nan))
+        res, trace = generic_conjugate_gradient(cone, r)
+        self.assert_stopped_at_start(cone, r, res, trace)
+
+    def test_backtracks_past_refused_builds(self, rng, monkeypatch):
+        # the first two candidates of the first step are refused, so the
+        # step taken is a quarter of the damped one
+        cone, r = self.problem(rng)
+        _, plain = generic_conjugate_gradient(cone, r)
+        build = newton.BarrierWorkspace
+        points = []
+
+        def refuse_two(cone, x):
+            points.append(np.array(x))
+            if len(points) in (2, 3):
+                raise NotInteriorError("refused")
+            return build(cone, x)
+
+        monkeypatch.setattr(newton, "BarrierWorkspace", refuse_two)
+        res, trace = generic_conjugate_gradient(cone, r)
+        monkeypatch.undo()
+        assert trace.status is NewtonStatus.CONVERGED
+        assert trace.iterations == res.iterations == len(points) - 3
+        assert len(trace.lambdas) == trace.iterations + 1
+        assert trace.lambdas[0] == plain.lambdas[0]
+        assert trace.lambdas[1] != plain.lambdas[1]
+        w, first, second, taken = points[:4]
+        np.testing.assert_allclose(w - first, 2.0 * (w - second), rtol=1e-12)
+        np.testing.assert_allclose(w - first, 4.0 * (w - taken), rtol=1e-12)
+        assert self.start_lambda(cone, r, unpack(cone, taken)) == trace.lambdas[1]
+        np.testing.assert_array_equal(pack(cone, res.g_star), -points[-1])
+        assert res.converged and trace.lambdas[-1] <= DEFAULT_EPS
+
+    def test_iteration_cap(self, rng, monkeypatch):
+        cone, r = self.problem(rng)
+        _, plain = generic_conjugate_gradient(cone, r)
+        assert plain.iterations > 3
+        monkeypatch.setattr(newton, "_MAX_ITER", 3)
+        res, trace = generic_conjugate_gradient(cone, r)
+        assert trace.status is NewtonStatus.ITERATION_CAP
+        assert trace.iterations == res.iterations == 3
+        assert trace.lambdas == plain.lambdas[:4]
+        assert not res.converged
+        # the best of the four iterates is returned
+        assert self.start_lambda(cone, r, neg(cone, res.g_star)) == \
+            min(trace.lambdas)
