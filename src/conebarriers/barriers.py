@@ -12,7 +12,11 @@ the base class splits packed float64 vectors into blocks, the family code
 maps blocks to blocks, and the base class joins the result.
 :class:`ConePoint` is converted only at the API edge, in the base class: a
 workspace built from a ``ConePoint``, or an oracle called with one, returns
-``ConePoint`` results.
+``ConePoint`` results.  A packed point is copied and validated, except an
+:class:`_Iterate`, generic Newton's own iterate, used as it is: a fresh array
+never written after the build, with an exactly symmetric matrix block
+(``0.5 * (m + m.T)``) and finite entries (a finite local norm has a finite
+step, and ``w - alpha step`` could overflow only at entries near 1e308).
 
 A matrix family's workspace is its vector family's with a lift mixin
 (:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
@@ -72,6 +76,11 @@ __all__ = [
 ]
 
 
+class _Iterate(np.ndarray):
+    """Marks a packed point as generic Newton's own iterate (module docstring);
+    an array, not a wrapper, so code wrapping the workspace still gets one."""
+
+
 class BarrierWorkspace:
     """Cached oracle intermediates at one interior point of one cone."""
 
@@ -91,7 +100,9 @@ class BarrierWorkspace:
 
     def __init__(self, cone: ConeDescriptor, point: ConePoint | np.ndarray):
         self._as_points = isinstance(point, ConePoint)
-        x = pack(cone, point) if self._as_points else np.array(check_packed(cone, point))
+        self._owned = type(point) is _Iterate
+        x = point.view(np.ndarray) if self._owned else (
+            pack(cone, point) if self._as_points else np.array(check_packed(cone, point)))
         x.flags.writeable = False
         self.cone = cone
         self.layout = cone.layout
@@ -129,8 +140,9 @@ class BarrierWorkspace:
 
     def _apply(self, op, x):
         as_point = isinstance(x, ConePoint)
-        xu, xv, xvec, xmat = self.layout.blocks(
-            pack(self.cone, x) if as_point else check_packed(self.cone, x))
+        if not (type(x) is np.ndarray and x.dtype is self.x.dtype and x.shape == self.x.shape):
+            x = pack(self.cone, x) if as_point else check_packed(self.cone, x)
+        xu, xv, xvec, xmat = self.layout.blocks(x)
         yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
         y = self.layout.join(yu, yv, vec=yb, mat=yb)
         return unpack(self.cone, y) if as_point or self._as_points else y
@@ -195,7 +207,7 @@ class _EigenLift(_MatrixLift):
     define ``_c``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        eig = sym_eigen(mat)
+        eig = sym_eigen(mat, check=False) if self._owned else sym_eigen(mat)
         self.frames = (eig.vectors, eig.vectors)
         return eig.values
 
@@ -208,6 +220,7 @@ class _SingularLift(_MatrixLift):
     """``W = U diag(sigma) V^T``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        # svd's one finiteness scan is about 2% of an lspec iteration; it stays
         dec = svd(mat)
         self.frames = (dec.U, dec.V)
         return dec.sigma
@@ -222,10 +235,10 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
 
     def _prepare(self, u, v, w):
         self.u, self.v, self.w = u, v, w
-        if not (v > 0.0 and (w > 0.0).all()):
+        if not (v > 0.0 and np.logical_and.reduce(w > 0.0)):
             return False
-        self.slog = float(np.log(w).sum())
-        self.phi = self.slog - w.size * np.log(v)
+        self.slog = float(np.add.reduce(np.log(w)))
+        self.phi = self.slog - w.size * float(np.log(v))
         self.zeta = v * self.phi - u
         self.sigma = self.phi - w.size
         return math.isfinite(self.zeta) and self.zeta > 0.0
@@ -244,7 +257,7 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         v, w, zeta, sigma, d = self.v, self.w, self.zeta, self.sigma, self.w.size
         a = 1.0 / zeta
         c = 1.0 + v * a
-        tau = float((w * xw).sum()) + v * d * xu
+        tau = float(np.add.reduce(w * xw)) + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
         yw = (w**2 * xw + (v * xu + a * yv) * w) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
@@ -252,7 +265,7 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
 
     def _hessian(self, xu, xv, xw):
         v, w, zeta, sigma = self.v, self.w, self.zeta, self.sigma
-        tr = float((xw / w).sum())
+        tr = float(np.add.reduce(xw / w))
         dzeta = -xu + sigma * xv + v * tr
         dsigma = tr - w.size * xv / v
         yu = -dzeta / zeta**2
@@ -303,7 +316,7 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
     def _prepare(self, u, _, w):
         self.u, self.w = u, w
         self.alpha = self.cone.alpha
-        if not (w > 0.0).all():
+        if not np.logical_and.reduce(w > 0.0):
             return False
         self.lw = np.log(w)
         self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
@@ -312,7 +325,7 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         return math.isfinite(self.zeta) and self.zeta > 0.0
 
     def value(self) -> float:
-        return -np.log(self.zeta) - float(self.lw.sum())
+        return -np.log(self.zeta) - float(np.add.reduce(self.lw))
 
     def _grad_parts(self):
         gw = -(self.phi / self.zeta) * self.alpha / self.w - 1.0 / self.w
@@ -345,7 +358,7 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         k1 = 1.0 + (phi / zeta) * alpha
         dinv_a = alpha * w / k1
         dinv_b = (w**2 / k1) * (xw + (phi * xu) * a)
-        k3 = float((alpha / k1).sum()) + self.cone.alpha_gap
+        k3 = float(np.add.reduce(alpha / k1)) + self.cone.alpha_gap
         yw = dinv_b + ((phi / zeta) * float(np.dot(a, dinv_b)) / k3) * dinv_a
         yu = zeta**2 * xu + phi * float(np.dot(a, yw))
         return yu, None, yw
@@ -380,7 +393,7 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         self.u, self.w = np.atleast_1d(u), w
         self.alpha = self.cone.alpha
         self.nrm2 = float(np.dot(self.u, self.u))
-        if not (w > 0.0).all():
+        if not np.logical_and.reduce(w > 0.0):
             return False
         self.lw = np.log(w)
         self.phi = float(np.exp(2.0 * np.dot(self.alpha, self.lw)))
@@ -428,10 +441,10 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
         u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
         gw = self.gw
         k1 = phi + self.nrm2
-        k2 = float((alpha**2 / (w * gw)).sum())
+        k2 = float(np.add.reduce(alpha**2 / (w * gw)))
         k3 = k1 / (2.0 * phi) + 2.0 * k2 * self.nrm2 / zeta
         xu_u = float(np.dot(xu, u))
-        s = float((alpha * z / gw).sum())
+        s = float(np.add.reduce(alpha * z / gw))
         out_u = 0.5 * zeta * xu - (u / k3) * (((2.0 * k2 * phi + zeta * k3) / k1) * xu_u + s)
         out_w = -(w / gw) * z - (alpha / (k3 * gw)) * (xu_u - (2.0 * self.nrm2 / zeta) * s)
         return out_u, None, out_w
@@ -445,28 +458,28 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
     def _prepare(self, u, _, w):
         self.u, self.w = u, w
         self.zi = u**2 - w**2
-        return 0.0 < u < math.inf and (self.zi > 0.0).all()
+        return 0.0 < u < math.inf and np.logical_and.reduce(self.zi > 0.0)
 
     def value(self) -> float:
-        return -float(np.log(self.zi).sum()) + (self.w.size - 1) * np.log(self.u)
+        return -float(np.add.reduce(np.log(self.zi))) + (self.w.size - 1) * np.log(self.u)
 
     def _grad_parts(self):
         d = self.w.size
-        gu = (d - 1) / self.u - 2.0 * self.u * float((1.0 / self.zi).sum())
+        gu = (d - 1) / self.u - 2.0 * self.u * float(np.add.reduce(1.0 / self.zi))
         return gu, None, 2.0 * self.w / self.zi
 
     def _hessian(self, xu, _, xw):
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         dz = 2.0 * u * xu - 2.0 * w * xw
-        out_u = -(d - 1) * xu / u**2 - float((2.0 * xu / zi - 2.0 * u * dz / zi**2).sum())
+        out_u = -(d - 1) * xu / u**2 - float(np.add.reduce(2.0 * xu / zi - 2.0 * u * dz / zi**2))
         return out_u, None, 2.0 * xw / zi - 2.0 * w * dz / zi**2
 
     def _hessian_dense(self) -> np.ndarray:
         u, w, zi = self.u, self.w, self.zi
         d = w.size
         h = np.zeros((1 + d, 1 + d))
-        h[0, 0] = -(d - 1) / u**2 + float((2.0 * (u**2 + w**2) / zi**2).sum())
+        h[0, 0] = -(d - 1) / u**2 + float(np.add.reduce(2.0 * (u**2 + w**2) / zi**2))
         h[0, 1:] = -4.0 * u * w / zi**2
         h[1:, 0] = h[0, 1:]
         idx = np.arange(1, 1 + d)
@@ -480,7 +493,7 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         u, w, zi = self.u, self.w, self.zi
         q = u * u + w * w
         e = 2.0 * u * w / q
-        yu = u * u * (xu + float(np.dot(e, xw))) / (1.0 + float((zi / q).sum()))
+        yu = u * u * (xu + float(np.dot(e, xw))) / (1.0 + float(np.add.reduce(zi / q)))
         return yu, None, zi**2 * xw / (2.0 * q) + e * yu
 
 
@@ -505,8 +518,8 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
         d1, d2 = w.shape
         # T, the u-u entry of the Hessian, T^2 W and T W
         t = (uu / zi) @ uu.T
-        huu = (-2.0 * float((1.0 / zi).sum()) - (s.size - 1) / u**2
-               + 4.0 * u**2 * float((1.0 / zi**2).sum()))
+        huu = (-2.0 * float(np.add.reduce(1.0 / zi)) - (s.size - 1) / u**2
+               + 4.0 * u**2 * float(np.add.reduce(1.0 / zi**2)))
         t2w = (uu * (s / zi**2)) @ vv.T
         tw = t @ w
         n = 1 + d1 * d2

@@ -27,6 +27,9 @@ The iteration works in packed coordinates end to end: iterates, steps and
 workspaces (``BarrierWorkspace(cone, x)`` on a packed vector) are float64
 vectors in the cone's :class:`~.cones.PackedLayout`, and :class:`ConePoint`
 appears only at the API edge, in the arguments and the returned ``g_star``.
+Each step's candidate is fresh, never written after its build, finite (a
+finite ``lambda`` has a finite step) and, once symmetrized, exactly symmetric,
+so unlike the start point it goes to the workspace as a ``barriers._Iterate``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .barriers import BarrierWorkspace, in_interior
+from .barriers import BarrierWorkspace, _Iterate, in_interior
 from .cones import (
     ConeDescriptor,
     ConePoint,
@@ -104,14 +107,6 @@ def _initial_packed(cone: ConeDescriptor, rf: np.ndarray) -> np.ndarray:
     return (cone.nu / float(np.dot(wc, rf))) * wc
 
 
-def _symmetrize_inplace(cone: ConeDescriptor, wf: np.ndarray) -> None:
-    # round-off can drift the matrix block of an iterate off the symmetric
-    # subspace, which the membership test rejects
-    if cone.rules.lift == "eig":
-        _, _, _, m = cone.layout.blocks(wf)
-        m[...] = 0.5 * (m + m.T)
-
-
 def generic_conjugate_gradient(
     cone: ConeDescriptor,
     r: ConePoint,
@@ -134,6 +129,9 @@ def generic_conjugate_gradient(
 
     rf = pack(cone, r)
     wf = pack(cone, w0) if w0 is not None else _initial_packed(cone, rf)
+    # round-off drifts an iterate's matrix block off the symmetric subspace,
+    # which the workspace of an _Iterate takes as exactly symmetric
+    sym = cone.layout.mat if cone.rules.lift == "eig" else None
     status = NewtonStatus.LEFT_INTERIOR
     iterations, lambdas, best_lam, best_wf = 0, [], math.inf, wf
     # NaN compares false, so the stall test cannot fire at the start point
@@ -171,9 +169,11 @@ def generic_conjugate_gradient(
         alpha = 1.0 / (1.0 + lam) if lam > DAMPED_THRESHOLD else 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = wf - alpha * step
-            _symmetrize_inplace(cone, cand)
+            if sym is not None:
+                m = cand[sym].reshape(cone.layout.mat_shape)
+                m[...] = 0.5 * (m + m.T)
             try:
-                ws = BarrierWorkspace(cone, cand)
+                ws = BarrierWorkspace(cone, cand.view(_Iterate))
                 break
             except NotInteriorError:
                 alpha *= 0.5

@@ -56,6 +56,15 @@ class TestSymEigen:
         with pytest.raises(ValueError):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_unchecked_matches_checked(self, rng):
+        # check=False skips only the validation, never the decomposition
+        for n in (1, 2, 5, 8, 16):
+            a = rng.standard_normal((n, n))
+            a = 0.5 * (a + a.T)
+            e, u = sym_eigen(a), sym_eigen(a, check=False)
+            assert e.values.tobytes() == u.values.tobytes()
+            assert e.vectors.tobytes() == u.vectors.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, bad):
         # eigh reads only the lower triangle, so an entry above it must be

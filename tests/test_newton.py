@@ -330,3 +330,65 @@ class TestRareExits:
         # the best of the four iterates is returned
         assert self.start_lambda(cone, r, neg(cone, res.g_star)) == \
             min(trace.lambdas)
+
+
+class TestOwnedIterates:
+    """Generic Newton hands its own iterates to the workspaces unchecked
+    (``barriers._Iterate``); every point from outside keeps every check."""
+
+    @pytest.mark.parametrize("family", ["logdet", "rtdet"])
+    def test_iterates_after_the_start_are_owned_and_symmetric(self, family, rng):
+        cone = random_cone(family, rng, d=5)
+        r = sample_dual_point(cone, 1e-3, rng)
+        plain_res, plain = generic_conjugate_gradient(cone, r)
+        build = newton.BarrierWorkspace
+        points = []
+
+        def spy(cone, x):
+            ws = build(cone, x)
+            points.append((type(x), np.array(x), type(ws.x)))
+            return ws
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "BarrierWorkspace", spy)
+            res, trace = generic_conjugate_gradient(cone, r)
+        assert trace.lambdas == plain.lambdas and trace.iterations > 2
+        np.testing.assert_array_equal(pack(cone, res.g_star), pack(cone, plain_res.g_star))
+        assert len(points) == trace.iterations + 1
+        assert points[0][0] is np.ndarray
+        for kind, x, ws_kind in points[1:]:
+            assert kind is barriers._Iterate
+            # the marker does not reach the workspace's own arithmetic
+            assert ws_kind is np.ndarray
+            m = x[cone.layout.mat].reshape(cone.layout.mat_shape)
+            np.testing.assert_array_equal(m, m.T)
+
+    @pytest.mark.parametrize("family", ["logdet", "rtdet"])
+    @pytest.mark.parametrize("defect", ["skew", "nan"])
+    def test_outside_points_keep_every_check(self, family, defect, rng):
+        cone = random_cone(family, rng, d=4)
+        r = sample_dual_point(cone, 1e-1, rng)
+        x = pack(cone, default_initial_point(cone, r))
+        m = x[cone.layout.mat].reshape(cone.layout.mat_shape)
+        # eigh reads only the lower triangle, so the defect sits above it
+        m[0, -1] = np.nan if defect == "nan" else m[0, -1] + 1e-11 * np.linalg.norm(m)
+        point = unpack(cone, x)
+        for call in (lambda: BarrierWorkspace(cone, x),
+                     lambda: BarrierWorkspace(cone, point),
+                     lambda: in_interior(cone, x),
+                     lambda: in_interior(cone, point),
+                     lambda: local_norm_lambda(cone, point, r),
+                     lambda: generic_conjugate_gradient(cone, r, w0=point)):
+            with pytest.raises(ValueError, match="not finite" if defect == "nan"
+                               else "not symmetric"):
+                call()
+
+    def test_packed_arguments_keep_their_check(self, rng):
+        cone = random_cone("logdet", rng, d=3)
+        ws = BarrierWorkspace(cone, pack(cone, interior_point(cone, rng)))
+        x = rng.integers(-3, 4, cone.ambient_dim)
+        np.testing.assert_array_equal(ws.inverse_hessian_apply(x),
+                                      ws.inverse_hessian_apply(x.astype(float)))
+        for bad in (np.zeros(cone.ambient_dim + 1), np.zeros((1, cone.ambient_dim))):
+            with pytest.raises(ValueError, match="flat vector"):
+                ws.hessian_apply(bad)
