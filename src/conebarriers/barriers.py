@@ -13,10 +13,9 @@ maps blocks to blocks, and the base class joins the result.
 :class:`ConePoint` is converted only at the API edge, in the base class: a
 workspace built from a ``ConePoint``, or an oracle called with one, returns
 ``ConePoint`` results.  A packed point is copied and validated, except an
-:class:`_Iterate`, generic Newton's own iterate, used as it is: a fresh array
-never written after the build, with an exactly symmetric matrix block
-(``0.5 * (m + m.T)``) and finite entries (a finite local norm has a finite
-step, and ``w - alpha step`` could overflow only at entries near 1e308).
+:class:`_Iterate`, generic Newton's own iterate, taken as it is and
+decomposed by ``linalg._eigh_desc``: fresh, never written after the build,
+finite, and with an exactly symmetric matrix block (``0.5 * (m + m.T)``).
 
 A matrix family's workspace is its vector family's with a lift mixin
 (:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
@@ -62,7 +61,7 @@ from .cones import (
     pack,
     unpack,
 )
-from .linalg import sym_eigen, svd
+from .linalg import _eigh_desc, sym_eigen, svd
 from .linalg import cholesky_factor  # noqa: F401  # wrapped by perfbench/tracer.py
 
 __all__ = [
@@ -77,8 +76,7 @@ __all__ = [
 
 
 class _Iterate(np.ndarray):
-    """Marks a packed point as generic Newton's own iterate (module docstring);
-    an array, not a wrapper, so code wrapping the workspace still gets one."""
+    """Marks generic Newton's own packed iterate (see the module docstring)."""
 
 
 class BarrierWorkspace:
@@ -140,9 +138,8 @@ class BarrierWorkspace:
 
     def _apply(self, op, x):
         as_point = isinstance(x, ConePoint)
-        if not (type(x) is np.ndarray and x.dtype is self.x.dtype and x.shape == self.x.shape):
-            x = pack(self.cone, x) if as_point else check_packed(self.cone, x)
-        xu, xv, xvec, xmat = self.layout.blocks(x)
+        xu, xv, xvec, xmat = self.layout.blocks(
+            pack(self.cone, x) if as_point else check_packed(self.cone, x))
         yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
         y = self.layout.join(yu, yv, vec=yb, mat=yb)
         return unpack(self.cone, y) if as_point or self._as_points else y
@@ -207,7 +204,7 @@ class _EigenLift(_MatrixLift):
     define ``_c``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        eig = sym_eigen(mat, check=False) if self._owned else sym_eigen(mat)
+        eig = _eigh_desc(mat) if self._owned else sym_eigen(mat)
         self.frames = (eig.vectors, eig.vectors)
         return eig.values
 
@@ -238,7 +235,7 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         if not (v > 0.0 and np.logical_and.reduce(w > 0.0)):
             return False
         self.slog = float(np.add.reduce(np.log(w)))
-        self.phi = self.slog - w.size * float(np.log(v))
+        self.phi = self.slog - w.size * np.log(v)
         self.zeta = v * self.phi - u
         self.sigma = self.phi - w.size
         return math.isfinite(self.zeta) and self.zeta > 0.0

@@ -140,7 +140,7 @@ class PackedLayout:
         if self.vec is not None:
             x[self.vec] = vec
         if self.mat is not None:
-            x[self.mat] = np.ravel(mat)
+            x[self.mat] = mat.ravel()
         return x
 
 

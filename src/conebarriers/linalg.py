@@ -66,21 +66,24 @@ class Svd:
         return (self.U * self.sigma) @ self.V.T
 
 
-def sym_eigen(a: np.ndarray, check: bool = True) -> SymEigen:
-    """Symmetric eigendecomposition with eigenvalues sorted descending.
+def sym_eigen(a: np.ndarray) -> SymEigen:
+    """Symmetric eigendecomposition with eigenvalues sorted descending."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("sym_eigen: expected a square matrix")
+    # eigh reads only the lower triangle, and NaN or inf passes the test below
+    if not np.isfinite(a).all():
+        raise ValueError("sym_eigen: matrix is not finite")
+    scale = np.linalg.norm(a)
+    if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
+        raise ValueError("sym_eigen: matrix is not symmetric")
+    return _eigh_desc(a)
 
-    A false ``check`` skips validating ``a``: only for generic Newton's own
-    iterates (:mod:`.barriers`), never for caller input."""
-    if check:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("sym_eigen: expected a square matrix")
-        # eigh reads only the lower triangle, and NaN or inf passes the test below
-        if not np.isfinite(a).all():
-            raise ValueError("sym_eigen: matrix is not finite")
-        scale = np.linalg.norm(a)
-        if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
-            raise ValueError("sym_eigen: matrix is not symmetric")
+
+def _eigh_desc(a: np.ndarray) -> SymEigen:
+    """:func:`sym_eigen` without validating ``a``: only for a float64 matrix
+    known to be finite and exactly symmetric, generic Newton's own iterates
+    (:mod:`.barriers`), never for caller input."""
     values, vectors = np.linalg.eigh(a)
     return SymEigen(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 

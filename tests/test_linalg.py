@@ -14,6 +14,7 @@ from conebarriers import (
     svd,
     sym_eigen,
 )
+from conebarriers import linalg
 from conftest import rand_orthogonal
 
 
@@ -57,11 +58,11 @@ class TestSymEigen:
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_unchecked_matches_checked(self, rng):
-        # check=False skips only the validation, never the decomposition
+        # _eigh_desc skips only the validation, never the decomposition
         for n in (1, 2, 5, 8, 16):
             a = rng.standard_normal((n, n))
             a = 0.5 * (a + a.T)
-            e, u = sym_eigen(a), sym_eigen(a, check=False)
+            e, u = sym_eigen(a), linalg._eigh_desc(a)
             assert e.values.tobytes() == u.values.tobytes()
             assert e.vectors.tobytes() == u.vectors.tobytes()
 
