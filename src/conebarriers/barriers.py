@@ -12,10 +12,7 @@ the base class splits packed float64 vectors into blocks, the family code
 maps blocks to blocks, and the base class joins the result.
 :class:`ConePoint` is converted only at the API edge, in the base class: a
 workspace built from a ``ConePoint``, or an oracle called with one, returns
-``ConePoint`` results.  A packed point is copied and validated, except an
-:class:`_Iterate`, generic Newton's own iterate, taken as it is and
-decomposed by ``linalg._eigh_desc``: fresh, never written after the build,
-finite, and with an exactly symmetric matrix block (``0.5 * (m + m.T)``).
+``ConePoint`` results.
 
 A matrix family's workspace is its vector family's with a lift mixin
 (:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
@@ -61,7 +58,7 @@ from .cones import (
     pack,
     unpack,
 )
-from .linalg import _eigh_desc, sym_eigen, svd
+from .linalg import sym_eigen, svd
 from .linalg import cholesky_factor  # noqa: F401  # wrapped by perfbench/tracer.py
 
 __all__ = [
@@ -73,10 +70,6 @@ __all__ = [
     "inverse_hessian_apply",
     "hessian_dense",
 ]
-
-
-class _Iterate(np.ndarray):
-    """Marks generic Newton's own packed iterate (see the module docstring)."""
 
 
 class BarrierWorkspace:
@@ -98,9 +91,7 @@ class BarrierWorkspace:
 
     def __init__(self, cone: ConeDescriptor, point: ConePoint | np.ndarray):
         self._as_points = isinstance(point, ConePoint)
-        self._owned = type(point) is _Iterate
-        x = point.view(np.ndarray) if self._owned else (
-            pack(cone, point) if self._as_points else np.array(check_packed(cone, point)))
+        x = pack(cone, point) if self._as_points else np.array(check_packed(cone, point))
         x.flags.writeable = False
         self.cone = cone
         self.layout = cone.layout
@@ -204,7 +195,7 @@ class _EigenLift(_MatrixLift):
     define ``_c``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        eig = _eigh_desc(mat) if self._owned else sym_eigen(mat)
+        eig = sym_eigen(mat)
         self.frames = (eig.vectors, eig.vectors)
         return eig.values
 
@@ -217,7 +208,6 @@ class _SingularLift(_MatrixLift):
     """``W = U diag(sigma) V^T``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        # svd's one finiteness scan is about 2% of an lspec iteration; it stays
         dec = svd(mat)
         self.frames = (dec.U, dec.V)
         return dec.sigma

@@ -74,16 +74,12 @@ def sym_eigen(a: np.ndarray) -> SymEigen:
     # eigh reads only the lower triangle, and NaN or inf passes the test below
     if not np.isfinite(a).all():
         raise ValueError("sym_eigen: matrix is not finite")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
-        raise ValueError("sym_eigen: matrix is not symmetric")
-    return _eigh_desc(a)
-
-
-def _eigh_desc(a: np.ndarray) -> SymEigen:
-    """:func:`sym_eigen` without validating ``a``: only for a float64 matrix
-    known to be finite and exactly symmetric, generic Newton's own iterates
-    (:mod:`.barriers`), never for caller input."""
+    # an exactly symmetric matrix, as generic Newton's iterates are, passes
+    # the tolerance test without its two norms
+    if not (a == a.T).all():
+        scale = np.linalg.norm(a)
+        if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
+            raise ValueError("sym_eigen: matrix is not symmetric")
     values, vectors = np.linalg.eigh(a)
     return SymEigen(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 

@@ -27,9 +27,9 @@ The iteration works in packed coordinates end to end: iterates, steps and
 workspaces (``BarrierWorkspace(cone, x)`` on a packed vector) are float64
 vectors in the cone's :class:`~.cones.PackedLayout`, and :class:`ConePoint`
 appears only at the API edge, in the arguments and the returned ``g_star``.
-Each step's candidate is fresh, never written after its build, finite (a
-finite ``lambda`` has a finite step) and, once symmetrized, exactly symmetric,
-so unlike the start point it goes to the workspace as a ``barriers._Iterate``.
+Each step's candidate has its matrix block symmetrized exactly, as
+``0.5 * (m + m.T)``, so that :func:`~.linalg.sym_eigen` accepts it with one
+equality test in place of the two norms of its tolerance test.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .barriers import BarrierWorkspace, _Iterate, in_interior
+from .barriers import BarrierWorkspace, in_interior
 from .cones import (
     ConeDescriptor,
     ConePoint,
@@ -130,7 +130,7 @@ def generic_conjugate_gradient(
     rf = pack(cone, r)
     wf = pack(cone, w0) if w0 is not None else _initial_packed(cone, rf)
     # round-off drifts an iterate's matrix block off the symmetric subspace,
-    # which the workspace of an _Iterate takes as exactly symmetric
+    # which the membership test rejects
     sym = cone.layout.mat if cone.rules.lift == "eig" else None
     status = NewtonStatus.LEFT_INTERIOR
     iterations, lambdas, best_lam, best_wf = 0, [], math.inf, wf
@@ -173,7 +173,7 @@ def generic_conjugate_gradient(
                 m = cand[sym].reshape(cone.layout.mat_shape)
                 m[...] = 0.5 * (m + m.T)
             try:
-                ws = BarrierWorkspace(cone, cand.view(_Iterate))
+                ws = BarrierWorkspace(cone, cand)
                 break
             except NotInteriorError:
                 alpha *= 0.5

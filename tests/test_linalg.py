@@ -14,7 +14,6 @@ from conebarriers import (
     svd,
     sym_eigen,
 )
-from conebarriers import linalg
 from conftest import rand_orthogonal
 
 
@@ -57,14 +56,32 @@ class TestSymEigen:
         with pytest.raises(ValueError):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_unchecked_matches_checked(self, rng):
-        # _eigh_desc skips only the validation, never the decomposition
-        for n in (1, 2, 5, 8, 16):
-            a = rng.standard_normal((n, n))
-            a = 0.5 * (a + a.T)
-            e, u = sym_eigen(a), linalg._eigh_desc(a)
-            assert e.values.tobytes() == u.values.tobytes()
-            assert e.vectors.tobytes() == u.vectors.tobytes()
+    def test_symmetry_tolerance_around_exact_symmetry(self, rng):
+        # an exactly symmetric matrix passes without the tolerance test's
+        # norms; off it, the tolerance 1e-13 * max(|A|, 1) still decides
+        a = rng.standard_normal((6, 6))
+        a = 0.5 * (a + a.T)
+        values, vectors = np.linalg.eigh(a)
+        e = sym_eigen(a)
+        assert e.values.tobytes() == values[::-1].tobytes()
+        assert e.vectors.tobytes() == vectors[:, ::-1].tobytes()
+        for skew, ok in ((1e-15, True), (1e-12, False)):
+            b = a.copy()
+            b[0, 5] += skew * np.linalg.norm(a)
+            if ok:
+                np.testing.assert_allclose(sym_eigen(b).values, e.values, atol=1e-12)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    sym_eigen(b)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_symmetric_infinities(self, bad):
+        # inf equals inf, so an exactly symmetric matrix holding one must
+        # still fail the finiteness test
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            sym_eigen(a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, bad):
