@@ -26,8 +26,8 @@ that off-diagonal map.  The lifted Hessians act on the full (not
 symmetrized) matrix space, where they remain symmetric positive definite.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
-factors the dense Hessian, which serves as a test oracle only (for the
-matrix families it is derived independently, in the original coordinates).
+factors the dense Hessian, which :meth:`BarrierWorkspace.hessian_dense`
+builds from the Hessian action, column by column, as a test oracle only.
 - log, hpower and hgeom first eliminate the ``u`` row, which fixes
   ``<grad zeta, y> = -zeta^2 x_u``, and are left with a diagonal plus
   rank-one terms, solved by Sherman-Morrison.
@@ -97,18 +97,15 @@ class BarrierWorkspace:
         self.layout = cone.layout
         self.x = x
         self._grad = None
-        self._dense = None
         epi, persp, vec, mat = self.layout.blocks(x)
-        # the point's vector or matrix block
-        self.block = vec if mat is None else mat
-        if not self._prepare(epi, persp, self._spectrum(self.block)):
+        if not self._prepare(epi, persp, self._spectrum(vec if mat is None else mat)):
             raise NotInteriorError(f"point is not in the interior of the {cone.family.value} cone")
 
     # subclasses implement _prepare(epi, persp, w) (w the vector block or
     # spectrum), which returns whether the point is interior, value,
-    # _grad_parts, _hessian_dense, and _hessian and _inverse_hessian, which
-    # map the blocks (xu, xv, xw) to (yu, yv, yw); the public oracles below
-    # are the ConePoint edge
+    # _grad_parts, and _hessian and _inverse_hessian, which map the blocks
+    # (xu, xv, xw) to (yu, yv, yw); the public oracles below are the
+    # ConePoint edge
 
     def _spectrum(self, block: np.ndarray) -> np.ndarray:
         return block
@@ -127,12 +124,14 @@ class BarrierWorkspace:
         """The evaluation point as a new :class:`ConePoint`."""
         return unpack(self.cone, self.x)
 
+    def _packed(self, op, x: np.ndarray) -> np.ndarray:
+        xu, xv, xvec, xmat = self.layout.blocks(x)
+        yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
+        return self.layout.join(yu, yv, vec=yb, mat=yb)
+
     def _apply(self, op, x):
         as_point = isinstance(x, ConePoint)
-        xu, xv, xvec, xmat = self.layout.blocks(
-            pack(self.cone, x) if as_point else check_packed(self.cone, x))
-        yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
-        y = self.layout.join(yu, yv, vec=yb, mat=yb)
+        y = self._packed(op, pack(self.cone, x) if as_point else check_packed(self.cone, x))
         return unpack(self.cone, y) if as_point or self._as_points else y
 
     def gradient(self):
@@ -148,9 +147,10 @@ class BarrierWorkspace:
         return self._apply(self._inverse_hessian, x)
 
     def hessian_dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._hessian_dense()
-        return self._dense
+        """The Hessian in packed coordinates, assembled column by column
+        from the action (a test oracle)."""
+        cols = [self._packed(self._hessian, e) for e in np.eye(self.layout.size)]
+        return np.stack(cols, axis=1)
 
 
 class _MatrixLift:
@@ -261,38 +261,10 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
               + (v / zeta) * xw / w**2 + xw / w**2)
         return yu, yv, yw
 
-    def _hessian_dense(self) -> np.ndarray:
-        v, w, zeta = self.v, self.w, self.zeta
-        xi = np.concatenate(([-1.0, self.sigma], v / w))
-        h = np.outer(xi, xi) / zeta**2
-        h[1, 1] += w.size / (v * zeta) + 1.0 / v**2
-        h[1, 2:] -= 1.0 / (zeta * w)
-        h[2:, 1] -= 1.0 / (zeta * w)
-        idx = np.arange(2, 2 + w.size)
-        h[idx, idx] += v / (zeta * w**2) + 1.0 / w**2
-        return h
-
 
 class _LogDetW(_EigenLift, _LogW, family=ConeFamily.LOGDET):
     def _c(self) -> float:
         return self.v / self.zeta + 1.0
-
-    def _hessian_dense(self) -> np.ndarray:
-        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.w.size
-        u = self.frames[0]
-        t = (u / self.w) @ u.T
-        vt = t.ravel()
-        n = 2 + d * d
-        h = np.empty((n, n))
-        h[0, 0] = 1.0 / zeta**2
-        h[0, 1] = h[1, 0] = -sigma / zeta**2
-        h[0, 2:] = h[2:, 0] = -v * vt / zeta**2
-        h[1, 1] = sigma**2 / zeta**2 + d / (v * zeta) + 1.0 / v**2
-        h[1, 2:] = h[2:, 1] = (sigma * v / zeta**2 - 1.0 / zeta) * vt
-        # W block: (v^2/zeta^2) vec(T) vec(T)^T + (v/zeta + 1) T (.) T
-        h[2:, 2:] = (v / zeta)**2 * np.outer(vt, vt) \
-            + (v / zeta + 1.0) * np.kron(t, t)
-        return h
 
 
 # --------------------------------------------------------------------------
@@ -326,16 +298,6 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         yw = -alpha * dk / w + (phi / zeta) * alpha * xw / w**2 + xw / w**2
         return -dzeta / zeta**2, None, yw
 
-    def _hessian_dense(self) -> np.ndarray:
-        w, alpha, phi, zeta = self.w, self.alpha, self.phi, self.zeta
-        xi = np.concatenate(([-1.0], alpha * phi / w))
-        h = np.outer(xi, xi) / zeta**2
-        aw = alpha / w
-        h[1:, 1:] -= (phi / zeta) * np.outer(aw, aw)
-        idx = np.arange(1, 1 + w.size)
-        h[idx, idx] += alpha * phi / (zeta * w**2) + 1.0 / w**2
-        return h
-
     def _inverse_hessian(self, xu, _, xw):
         # eliminate u: <grad zeta, y> = -zeta^2 xu leaves D - (phi/zeta) a a^T
         # with a = alpha/w and D^{-1} = w^2/k1, solved by Sherman-Morrison
@@ -354,20 +316,6 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
 class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
     def _c(self) -> float:
         return self.phi / (self.w.size * self.zeta) + 1.0
-
-    def _hessian_dense(self) -> np.ndarray:
-        phi, zeta, d = self.phi, self.zeta, self.w.size
-        u = self.frames[0]
-        t = (u / self.w) @ u.T
-        vt = t.ravel()
-        n = 1 + d * d
-        h = np.empty((n, n))
-        h[0, 0] = 1.0 / zeta**2
-        h[0, 1:] = h[1:, 0] = -(phi / d) * vt / zeta**2
-        # W block couples through d(phi) = (phi/d) tr(T X) and dT = -T X T
-        h[1:, 1:] = (phi * self.u / (d**2 * zeta**2)) * np.outer(vt, vt) \
-            + (phi / (d * zeta) + 1.0) * np.kron(t, t)
-        return h
 
 
 # --------------------------------------------------------------------------
@@ -409,19 +357,6 @@ class _RPowerW(BarrierWorkspace, family=(ConeFamily.RPOWER, ConeFamily.RGEOM)):
                  + (1.0 - alpha) * xw / w**2)
         return out_u, None, out_w
 
-    def _hessian_dense(self) -> np.ndarray:
-        u, w, alpha, phi, zeta = self.u, self.w, self.alpha, self.phi, self.zeta
-        d1 = u.size
-        xi = np.concatenate((-2.0 * u, 2.0 * alpha * phi / w))
-        h = np.outer(xi, xi) / zeta**2
-        iu = np.arange(d1)
-        h[iu, iu] += 2.0 / zeta
-        aw = alpha / w
-        h[d1:, d1:] -= (4.0 * phi / zeta) * np.outer(aw, aw)
-        iw = np.arange(d1, d1 + w.size)
-        h[iw, iw] += 2.0 * alpha * phi / (zeta * w**2) + (1.0 - alpha) / w**2
-        return h
-
     def _inverse_hessian(self, xu, _, z):
         # closed form derived by differentiating the conjugate-gradient map
         xu = np.atleast_1d(xu)
@@ -462,17 +397,6 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
         out_u = -(d - 1) * xu / u**2 - float(np.add.reduce(2.0 * xu / zi - 2.0 * u * dz / zi**2))
         return out_u, None, 2.0 * xw / zi - 2.0 * w * dz / zi**2
 
-    def _hessian_dense(self) -> np.ndarray:
-        u, w, zi = self.u, self.w, self.zi
-        d = w.size
-        h = np.zeros((1 + d, 1 + d))
-        h[0, 0] = -(d - 1) / u**2 + float(np.add.reduce(2.0 * (u**2 + w**2) / zi**2))
-        h[0, 1:] = -4.0 * u * w / zi**2
-        h[1:, 0] = h[0, 1:]
-        idx = np.arange(1, 1 + d)
-        h[idx, idx] = 2.0 * (u**2 + w**2) / zi**2
-        return h
-
     def _inverse_hessian(self, xu, _, xw):
         # an arrowhead: diagonal 2 q / zi^2 (q = u^2 + w^2) bordered by the
         # u row -4 u w / zi^2, whose Schur complement is the sum of positive
@@ -498,27 +422,6 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
     def _complement(self, inverse: bool) -> np.ndarray:
         # the Hessian is X -> 2 T X there, T = (u^2 I - W W^T)^{-1}
         return 0.5 * self.zi if inverse else 2.0 / self.zi
-
-    def _hessian_dense(self) -> np.ndarray:
-        u, w, zi, s = self.u, self.block, self.zi, self.w
-        uu, vv = self.frames
-        d1, d2 = w.shape
-        # T, the u-u entry of the Hessian, T^2 W and T W
-        t = (uu / zi) @ uu.T
-        huu = (-2.0 * float(np.add.reduce(1.0 / zi)) - (s.size - 1) / u**2
-               + 4.0 * u**2 * float(np.add.reduce(1.0 / zi**2)))
-        t2w = (uu * (s / zi**2)) @ vv.T
-        tw = t @ w
-        n = 1 + d1 * d2
-        h = np.empty((n, n))
-        h[0, 0] = huu
-        h[0, 1:] = h[1:, 0] = -4.0 * u * t2w.ravel()
-        # row-major operator forms of X -> 2T X (W^T T W), 2(TW) X^T (TW), 2T X
-        wtw = w.T @ tw
-        block = np.kron(2.0 * t, wtw) + np.kron(2.0 * t, np.eye(d2))
-        block += 2.0 * np.einsum("ik,lj->ijlk", tw, tw).reshape(n - 1, n - 1)
-        h[1:, 1:] = block
-        return h
 
 
 # --------------------------------------------------------------------------

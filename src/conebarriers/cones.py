@@ -90,11 +90,11 @@ class PowerParams:
         a = np.asarray(self.alpha, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("alpha must be a non-empty 1-d vector")
-        if not (a > 0.0).all():
+        if not np.logical_and.reduce(a > 0.0):
             raise ValueError("every alpha_i must be strictly positive")
-        if abs(float(a.sum()) - 1.0) > _ALPHA_SUM_TOL:
+        if abs(float(np.add.reduce(a)) - 1.0) > _ALPHA_SUM_TOL:
             raise ValueError(
-                f"alpha must sum to 1 within {_ALPHA_SUM_TOL:g}; got {a.sum()!r}"
+                f"alpha must sum to 1 within {_ALPHA_SUM_TOL:g}; got {np.add.reduce(a)!r}"
             )
         a = a.copy()
         a.flags.writeable = False
@@ -339,7 +339,7 @@ class ConeDescriptor:
     @cached_property
     def alpha_gap(self) -> float:
         """``1 - sum(alpha)``, nonzero only by the rounding of the weights."""
-        return 1.0 - float(self.alpha.sum())
+        return 1.0 - float(np.add.reduce(self.alpha))
 
     @property
     def vec_dim(self) -> int:

@@ -92,13 +92,13 @@ def _hpower_h(cone: ConeDescriptor, p, q, rv: np.ndarray, _=None):
     alpha = cone.alpha
     log_phi_r = float(np.dot(alpha, np.log(rv)))
     pa = p * alpha
-    lo = float(pa.max())
+    lo = float(np.maximum.reduce(pa))
 
     def fn(y: float):
         if y <= lo:
             raise ValueError("hpower reduction: y outside the domain of h")
         t = y - pa
-        return float(np.dot(alpha, np.log(t)) - log_phi_r), float((alpha / t).sum())
+        return float(np.dot(alpha, np.log(t)) - log_phi_r), float(np.add.reduce(alpha / t))
 
     return fn
 
@@ -128,7 +128,7 @@ def _rpower_reduction(alpha: np.ndarray, s: float, rv: np.ndarray):
             raise ValueError("rpower reduction: y must be positive")
         h = (a + float(np.dot(two_alpha, np.log1p(c / y))) - math.log1p(b / y)
              + two_delta * (math.log(2.0) + 2.0 * math.log(y)))
-        hp = b / (y * (y + b)) - float((k / (y * (y + c))).sum()) + 2.0 * two_delta / y
+        hp = b / (y * (y + b)) - float(np.add.reduce(k / (y * (y + c)))) + 2.0 * two_delta / y
         return h, hp
 
     return fn, a, two_delta
@@ -153,15 +153,15 @@ def _linf_reduction(p: float, r: np.ndarray, delta: float):
     Returns the (h, h') callback, valid for every real y, and the Newton start.
     """
     a = np.abs(r)
-    p_plus = p + float(a.sum())
+    p_plus = p + float(np.add.reduce(a))
 
     def fn(y: float):
         t = a * abs(y)
         s = np.sqrt(1.0 + t * t)
         e = 1.0 / (s + t)
         if y <= 0.0:
-            return delta * y + 1.0 + float(e.sum()), delta + float(np.dot(a, e / s))
-        return p_plus * y + 1.0 + float(e.sum()), p + float(np.dot(a, t / s))
+            return delta * y + 1.0 + float(np.add.reduce(e)), delta + float(np.dot(a, e / s))
+        return p_plus * y + 1.0 + float(np.add.reduce(e)), p + float(np.dot(a, t / s))
 
     # both candidates bound the negative root from above (each comes from a
     # lower bound on h); the tighter one tracks the root as p approaches
@@ -200,7 +200,7 @@ def _rpower_tail_start(alpha: np.ndarray, s: float, a: float) -> float | None:
     """
     d2 = alpha.size
     b = 2.0 * d2 / s
-    c2 = float(((1.0 + alpha) ** 2 / alpha).sum()) / (s * s)
+    c2 = float(np.add.reduce((1.0 + alpha) ** 2 / alpha)) / (s * s)
     disc = b * b + 4.0 * a * c2
     if disc <= 0.0:
         return None
@@ -235,7 +235,7 @@ def _require(positive: bool, family: str, slack: str) -> None:
 
 def _log_domain(cone, p, q, rv):
     """``wbar = d omega(beta)``; the slack is ``wbar - 1``."""
-    _require(p < 0.0 and (rv > 0.0).all(), "log", "-p or r_i")
+    _require(p < 0.0 and np.logical_and.reduce(rv > 0.0), "log", "-p or r_i")
     d = rv.size
     # the slack of beta over its boundary value is a fine cancellation near
     # the dual boundary; an exact sum keeps it to the accuracy of the logs
@@ -250,14 +250,14 @@ def _log_domain(cone, p, q, rv):
 
 
 def _power_domain(cone, p, q, rv):
-    _require(p < 0.0 and (rv > 0.0).all() and -p < power_cap(cone.alpha, rv),
+    _require(p < 0.0 and np.logical_and.reduce(rv > 0.0) and -p < power_cap(cone.alpha, rv),
              "hpower", "power_cap(alpha, r) + p")
 
 
 def _hgeom_domain(cone, p, q, rv):
     """``phi = prod r_i^(1/d)`` and the slack ``phi + p/d``."""
-    _require(p < 0.0 and (rv > 0.0).all(), "hgeom", "-p or r_i")
-    phi = float(np.exp(np.log(rv).mean()))
+    _require(p < 0.0 and np.logical_and.reduce(rv > 0.0), "hgeom", "-p or r_i")
+    phi = float(np.exp(float(np.add.reduce(np.log(rv))) / rv.size))
     den = phi + p / rv.size
     _require(den > 0.0, "hgeom", "phi + p/d")
     return phi, den
@@ -274,7 +274,7 @@ def _radial_domain(cone, p, q, rv):
     root, rules out both (the start's factor 0.9 leaves ``h(y0) ~ -a/9``);
     16 leaves a margin.
     """
-    _require((rv > 0.0).all(), "radial", "r_i")
+    _require(np.logical_and.reduce(rv > 0.0), "radial", "r_i")
     p, s, zero = _radial_parts(p, rv)
     if zero:
         return p, s, None, None
@@ -323,7 +323,7 @@ def _log_value(cone, p, q, rv, wbar) -> float:
     d = rv.size
     return (-2.0 - d - 2.0 * math.log(-p)
             - ((d + 1) * math.log(wbar - 1.0) - d * math.log(wbar))
-            - float(np.log(rv).sum()))
+            - float(np.add.reduce(np.log(rv))))
 
 
 def _hpower_gradient(cone, p, q, rv, _):
@@ -349,7 +349,7 @@ def _power_value(cone, p, rv, yhat, h, gap=0.0) -> float:
     zeta = -1.0 / p + math.expm1(h + gap * math.log(yhat)) / yhat if yhat > 0.0 else 0.0
     _require(zeta > 0.0, "hpower", "y or phi(w) - u")
     w = (1.0 - p * cone.alpha / yhat) / rv
-    return -cone.nu - p * gap / yhat + math.log(zeta) + float(np.log(w).sum())
+    return -cone.nu - p * gap / yhat + math.log(zeta) + float(np.add.reduce(np.log(w)))
 
 
 def _hpower_value(cone, p, q, rv, _) -> float:
@@ -402,7 +402,7 @@ def _linf_root(p, rv, delta):
     """The reduction's callback, its root ``yhat < 0`` and the RootResult
     (``None`` for a zero ``r``, whose root is ``-(d + 1)/p``)."""
     fn, y0 = _linf_reduction(p, rv, delta)
-    if not (rv != 0.0).any():
+    if not np.logical_or.reduce(rv != 0.0):
         return fn, -(rv.size + 1.0) / p, None
     res = newton_raphson(fn, y0)
     return fn, res.root, res
@@ -419,7 +419,7 @@ def _linf_value(cone, p, q, rv, delta) -> float:
     # r_i^2) + 1), also at r_i = 0; h(yhat) is what Newton-Raphson leaves
     fn, y, _ = _linf_root(p, rv, delta)
     z = 2.0 * y * y / (np.sqrt(1.0 + (y * rv) ** 2) + 1.0)
-    return fn(y)[0] - cone.nu + float(np.log(z).sum()) - (rv.size - 1) * math.log(-y)
+    return fn(y)[0] - cone.nu + float(np.add.reduce(np.log(z))) - (rv.size - 1) * math.log(-y)
 
 
 @dataclass(frozen=True)
@@ -460,7 +460,7 @@ def _dual_domain(cone: ConeDescriptor, r: ConePoint):
     elif lift == "svd":
         dec = svd(mat)
         rv, frames = dec.sigma, (dec.U, dec.V)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise NotInteriorError(f"{cone.family.value}: a non-finite entry is not interior")
     return x, frames, (epi, persp, rv, _KERNELS[cone.rules.vector].domain(cone, epi, persp, rv))
 

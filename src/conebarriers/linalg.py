@@ -72,11 +72,11 @@ def sym_eigen(a: np.ndarray) -> SymEigen:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eigen: expected a square matrix")
     # eigh reads only the lower triangle, and NaN or inf passes the test below
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("sym_eigen: matrix is not finite")
     # an exactly symmetric matrix, as generic Newton's iterates are, passes
     # the tolerance test without its two norms
-    if not (a == a.T).all():
+    if not np.logical_and.reduce(a == a.T, axis=None):
         scale = np.linalg.norm(a)
         if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
             raise ValueError("sym_eigen: matrix is not symmetric")
@@ -92,7 +92,7 @@ def svd(a: np.ndarray) -> Svd:
     d1, d2 = a.shape
     if d1 > d2:
         raise ValueError("svd: requires d1 <= d2")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("svd: matrix is not finite")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     return Svd(U=u, sigma=sigma, V=vt.T.copy())

@@ -19,6 +19,7 @@ from conebarriers import (
     value,
 )
 from conftest import ALL_FAMILIES, interior_point, random_cone, random_direction
+import mp_reference
 
 
 class TestValue:
@@ -139,15 +140,44 @@ class TestHessian:
             assert float(np.dot(x, hx)) > 0.0
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_dense_matches_action(self, family, rng):
-        for _ in range(10):
+    def test_action_matches_definition(self, family, rng):
+        # entry i of H(w) x is d^2/ds dt f(w + s e_i + t x) at 50 digits,
+        # with f written from its definition (mp_reference); for logdet and
+        # rtdet x stays symmetric, where f is the barrier, and lspec's f is
+        # defined on the full matrix space
+        for k in range(3):
+            if family in ("logdet", "rtdet"):
+                cone = random_cone(family, rng, d=2)
+            elif family == "lspec":
+                cone = ConeDescriptor.lspec(2, 2 + k % 2)
+            else:
+                cone = random_cone(family, rng, d=2 + k)
+            w = pack(cone, interior_point(cone, rng))
+            x = (rng.standard_normal(cone.ambient_dim) if family == "lspec"
+                 else random_direction(cone, rng))
+            hx = BarrierWorkspace(cone, w).hessian_apply(x)
+            ref = np.array([float(y) for y in mp_reference.hessian_action(cone, w, x)])
+            assert np.linalg.norm(hx - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("family", ["logdet", "rtdet"])
+    def test_skew_directions(self, family, rng):
+        # f is a barrier on symmetric W only; the lifted Hessian extends it
+        # to the full matrix space as X -> c W^-1 X W^-1 on skew X, with no
+        # u or v part, which keeps H positive definite there (a convention,
+        # not a derivative of f)
+        for _ in range(20):
             cone = random_cone(family, rng)
-            ws = BarrierWorkspace(cone, interior_point(cone, rng))
-            hmat = ws.hessian_dense()
-            assert np.allclose(hmat, hmat.T)
-            x = random_direction(cone, rng)
-            hx = pack(cone, ws.hessian_apply(unpack(cone, x)))
-            assert np.linalg.norm(hmat @ x - hx) <= 1e-10 * (1 + np.linalg.norm(hx))
+            w = interior_point(cone, rng)
+            ws = BarrierWorkspace(cone, pack(cone, w))
+            a = rng.standard_normal((cone.d, cone.d))
+            skew = a - a.T
+            x = np.zeros(cone.ambient_dim)
+            x[cone.layout.mat] = skew.ravel()
+            winv = np.linalg.inv(w.mat)
+            expected = np.zeros(cone.ambient_dim)
+            expected[cone.layout.mat] = (ws._c() * winv @ skew @ winv).ravel()
+            hx = ws.hessian_apply(x)
+            assert np.linalg.norm(hx - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_matrix_cone_diagonal_matches_vector(self, rng):
         # at a diagonal point and direction, the lifted Hessian and its
@@ -200,6 +230,11 @@ class TestPackedWorkspace:
                 assert isinstance(packed, np.ndarray)
                 np.testing.assert_array_equal(
                     packed, pack(cone, getattr(ws_point, oracle)(unpack(cone, x))))
+            # the dense Hessian is packed either way
+            dense = ws_point.hessian_dense()
+            assert isinstance(dense, np.ndarray)
+            assert dense.shape == (cone.ambient_dim, cone.ambient_dim)
+            np.testing.assert_array_equal(dense, ws_packed.hessian_dense())
             # a ConePoint on either side makes the result a ConePoint
             assert isinstance(ws_point.hessian_apply(x), ConePoint)
             assert isinstance(ws_packed.hessian_apply(unpack(cone, x)), ConePoint)
