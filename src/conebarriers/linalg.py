@@ -1,20 +1,15 @@
 """Dense linear algebra used by the matrix cones' primal and dual oracles.
 
-Thin wrappers over LAPACK (via numpy, and scipy for Cholesky) that enforce
-the contracts the rest of the package relies on: validated symmetry and
-descending spectra.  :class:`NonPositiveDefiniteError` is the distinct error
-type of a failed Cholesky pivot, raised only by the dense test oracle
-below; the generic Newton solver never factorizes and reports a non-finite
-local norm as a status, not as this error.
+Thin wrappers over numpy's LAPACK routines that enforce the contracts the
+rest of the package relies on: validated symmetry and descending spectra.
+:class:`NonPositiveDefiniteError` is the distinct error type of a failed
+Cholesky pivot, raised only by the dense test oracle below; the generic
+Newton solver never factorizes and reports a non-finite local norm as a
+status, not as this error.
 
 No barrier solves with a Cholesky factorization: every family has a
 closed-form inverse Hessian.  The Cholesky routines solve with the dense
-Hessians, which serve as test oracles; they call ``dpotrf``/``dpotrs``
-directly, the same routines, with the same arguments, as
-``scipy.linalg.cho_factor``/``cho_solve``, without the wrappers' per-call
-validation overhead.  scipy is imported on the first call: importing
-``scipy.linalg`` costs more than half of the package's cold start, and
-nothing else in the package uses it.
+Hessians, which serve as test oracles.
 """
 
 from __future__ import annotations
@@ -99,25 +94,23 @@ def svd(a: np.ndarray) -> Svd:
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    The factor is the lower triangle of the returned array; the strict upper
-    triangle is left as LAPACK leaves it.  A failed pivot raises
+    numpy reads only the lower triangle of ``h`` and returns a clean lower
+    triangle, zeros above the diagonal.  A failed pivot raises
     :class:`NonPositiveDefiniteError`.
     """
-    from scipy.linalg.lapack import dpotrf
-
-    c, info = dpotrf(np.asarray(h, dtype=float), lower=1, clean=0)
-    if info > 0:
-        raise NonPositiveDefiniteError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    return c
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("cholesky_factor: expected a square matrix")
+    try:
+        return np.linalg.cholesky(h)
+    except np.linalg.LinAlgError as e:
+        raise NonPositiveDefiniteError(str(e)) from e
 
 
 def cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``H x = b`` for symmetric positive definite ``H``."""
-    from scipy.linalg.lapack import dpotrs
-
-    x, _ = dpotrs(cholesky_factor(h), np.asarray(b, dtype=float), lower=1)
-    return x
+    # numpy has no triangular solver: two general solves with the factor
+    c = cholesky_factor(h)
+    return np.linalg.solve(c.T, np.linalg.solve(c, np.asarray(b, dtype=float)))

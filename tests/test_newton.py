@@ -4,6 +4,7 @@ import pytest
 from conebarriers import (
     BarrierWorkspace,
     ConeDescriptor,
+    ConeFamily,
     ConePoint,
     DAMPED_THRESHOLD,
     DEFAULT_EPS,
@@ -20,7 +21,7 @@ from conebarriers import (
     sample_dual_point,
     unpack,
 )
-from conebarriers import barriers, newton
+from conebarriers import barriers, experiment, newton
 from conftest import ALL_FAMILIES, interior_point, random_cone
 
 
@@ -219,13 +220,13 @@ class TestGenericSolver:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_no_cholesky_factorization(self, family, rng, monkeypatch):
         # every family solves with a closed-form inverse Hessian; linalg
-        # imports LAPACK's dpotrf on each call, so patching scipy's binding
-        # refuses a factorization by any route through the package
+        # looks up np.linalg.cholesky on each call, so patching numpy's
+        # binding refuses a factorization by any route through the package
         def refuse(*args, **kwargs):
             raise AssertionError("Cholesky factorization called")
 
         monkeypatch.setattr(barriers, "cholesky_factor", refuse)
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", refuse)
+        monkeypatch.setattr("numpy.linalg.cholesky", refuse)
         for o in (1e-5, 1e-1):
             cone = random_cone(family, rng)
             r = sample_dual_point(cone, o, rng)
@@ -242,6 +243,37 @@ class TestGenericSolver:
         spec = conjugate_gradient(cone, r)
         diff = np.linalg.norm(pack(cone, gen.g_star) - pack(cone, spec.g_star))
         assert diff <= 1e-6 * (1 + np.linalg.norm(pack(cone, spec.g_star)))
+
+
+# scales at which generic Newton breaks g*(t r) = g*(r) / t (ROADMAP item 4):
+# log and lspec overflow a Python float's square, logdet's start point is
+# not finite, and the rest end CONVERGED after 0 iterations with lambda = 0,
+# because the inverse Hessian underflows, at a g* that is 93-100% off
+_SCALE_DEFECTS = [("log", 1e-300), ("lspec", 1e-300), ("logdet", 2.0**-1060),
+                  ("linf", 1e110), ("hpower", 1e170), ("hgeom", 1e170),
+                  ("rtdet", 1e300)]
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("family, t", [
+        *((f, t) for f in ALL_FAMILIES for t in (2.0**-40, 2.0**40)),
+        *(pytest.param(f, t, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4"))
+          for f, t in _SCALE_DEFECTS),
+    ])
+    def test_scaled_dual_point(self, family, t):
+        # at t r the solve raises NotInteriorError, reports that it failed,
+        # or returns t g*(t r) = g*(r)
+        rng = np.random.default_rng(3)
+        cone = experiment._make_cone(ConeFamily(family), 4, rng)
+        r = sample_dual_point(cone, 0.1, rng)
+        ref = pack(cone, generic_conjugate_gradient(cone, r)[0].g_star)
+        try:
+            res, trace = generic_conjugate_gradient(cone, unpack(cone, t * pack(cone, r)))
+        except NotInteriorError:
+            return
+        if trace.status in (NewtonStatus.CONVERGED, NewtonStatus.STALLED):
+            got = t * pack(cone, res.g_star)
+            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 class TestRareExits:
