@@ -273,8 +273,11 @@ class ConeDescriptor:
                 raise ValueError(f"{name}: takes no {dim}")
         if rules.check is not None and not rules.check[0](self):
             raise ValueError(f"{name}: {rules.check[1]}")
+        lift = rules.lift
+        mat_shape = None if lift is None else (n, n) if lift == "eig" else (self.d1, self.d2)
         object.__setattr__(self, "layout", _packed_layout(
-            self.epi_dim, rules.radial, rules.persp, self.vec_dim, self.mat_shape))
+            self.d1 if rules.radial else 1, rules.radial, rules.persp,
+            0 if lift else n, mat_shape))
 
     # ---------------------------------------------------------------- ctors
     @classmethod
@@ -324,7 +327,7 @@ class ConeDescriptor:
     @property
     def nu(self) -> float:
         """Barrier parameter of the canonical barrier for this cone."""
-        return float(self.spectrum_dim + (2 if self.has_persp else 1))
+        return float(self.spectrum_dim + (2 if self.rules.persp else 1))
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -342,26 +345,8 @@ class ConeDescriptor:
         return 1.0 - float(np.add.reduce(self.alpha))
 
     @property
-    def vec_dim(self) -> int:
-        """Length of the vector block (0 for matrix families)."""
-        return 0 if self.rules.lift else self.spectrum_dim
-
-    @property
     def mat_shape(self) -> tuple[int, int] | None:
-        lift = self.rules.lift
-        if lift is None:
-            return None
-        n = self.spectrum_dim
-        return (n, n) if lift == "eig" else (self.d1, self.d2)
-
-    @property
-    def has_persp(self) -> bool:
-        return self.rules.persp
-
-    @property
-    def epi_dim(self) -> int:
-        """Size of the leading scalar/radial block."""
-        return self.d1 if self.rules.radial else 1
+        return self.layout.mat_shape
 
     @property
     def ambient_dim(self) -> int:
@@ -458,5 +443,5 @@ def canonical_point(cone: ConeDescriptor) -> ConePoint:
     if cone.layout.radial:
         epi = np.full(cone.d1, epi)
     if cone.mat_shape is None:
-        return ConePoint(epi=epi, persp=persp, vec=np.full(cone.vec_dim, entry))
+        return ConePoint(epi=epi, persp=persp, vec=np.full(cone.spectrum_dim, entry))
     return ConePoint(epi=epi, persp=persp, mat=entry * np.eye(*cone.mat_shape))

@@ -46,8 +46,7 @@ from .cones import (
     ConePoint,
     NotInteriorError,
     PowerParams,
-    inner,
-    pack,  # noqa: F401  # wrapped by perfbench/tracer.py
+    pack,
 )
 from .conjugate import conjugate_gradient, dual_in_interior, power_cap
 from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
@@ -117,7 +116,7 @@ class IterationStats:
 
 def residual(cone: ConeDescriptor, g_star: ConePoint, r: ConePoint) -> float:
     """Optimality violation ``|<g*, r> + nu|`` of a conjugate-gradient value."""
-    return abs(inner(cone, g_star, r) + cone.nu)
+    return abs(float(np.dot(pack(cone, g_star), pack(cone, r))) + cone.nu)
 
 
 def _rand_orthogonal(rng, n: int) -> np.ndarray:

@@ -12,9 +12,10 @@ once, and the stop tests run in this order: ``STALLED`` if ``lambda``
 exceeds ``1000 (lambda'/(1 - lambda'))^2`` for the previous ``lambda'``,
 ``CONVERGED`` if ``lambda <= eps``, ``ITERATION_CAP`` at the step cap.
 Otherwise the step is halved until its workspace builds.  A start point
-that is not interior, a non-finite ``lambda`` or a step that no halving
-keeps interior ends the solve as ``LEFT_INTERIOR``.  The iterate of least
-``lambda`` (the last one, if converged), negated, is the conjugate gradient.
+that is not interior, a start or iterate that overflows binary64, a
+non-finite ``lambda`` or a step that no halving keeps interior ends the
+solve as ``LEFT_INTERIOR``.  The iterate of least ``lambda`` (the last
+one, if converged), negated, is the conjugate gradient.
 
 ``lambda`` is evaluated from its definition above with the same solve that
 produces the step.  The algebraically equal form
@@ -99,12 +100,8 @@ def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
     dual interior point have positive pairing, and cones are invariant
     under positive scaling, so the result stays interior.
     """
-    return unpack(cone, _initial_packed(cone, pack(cone, r)))
-
-
-def _initial_packed(cone: ConeDescriptor, rf: np.ndarray) -> np.ndarray:
     wc = pack(cone, canonical_point(cone))
-    return (cone.nu / float(np.dot(wc, rf))) * wc
+    return unpack(cone, (cone.nu / float(np.dot(wc, pack(cone, r)))) * wc)
 
 
 def generic_conjugate_gradient(
@@ -128,7 +125,12 @@ def generic_conjugate_gradient(
         raise NotInteriorError("supplied initial point is not interior")
 
     rf = pack(cone, r)
-    wf = pack(cone, w0) if w0 is not None else _initial_packed(cone, rf)
+    wf = pack(cone, canonical_point(cone) if w0 is None else w0)
+    # the canonical point scales to <w0, r> = nu; at an extreme dual scale
+    # the factor overflows, and the solve stops at the unscaled point
+    scale = cone.nu / float(np.dot(wf, rf)) if w0 is None else 1.0
+    if math.isfinite(scale):
+        wf = scale * wf
     # round-off drifts an iterate's matrix block off the symmetric subspace,
     # which the membership test rejects
     sym = cone.layout.mat if cone.rules.lift == "eig" else None
@@ -136,16 +138,20 @@ def generic_conjugate_gradient(
     iterations, lambdas, best_lam, best_wf = 0, [], math.inf, wf
     # NaN compares false, so the stall test cannot fire at the start point
     lam_prev = math.nan
+    # the constructed initial point is interior by design; only extreme
+    # scaling can break it in floating point (membership fails, or a Python
+    # float's arithmetic leaves binary64's range)
     try:
-        ws = BarrierWorkspace(cone, wf)
-    except NotInteriorError:
-        # the constructed initial point is interior by design; only extreme
-        # scaling can break it in floating point
+        ws = BarrierWorkspace(cone, wf) if math.isfinite(scale) else None
+    except (NotInteriorError, ArithmeticError):
         ws = None
     while ws is not None:
-        grad_obj = ws.gradient() + rf
-        step = ws.inverse_hessian_apply(grad_obj)
-        rad = float(np.dot(grad_obj, step))
+        try:
+            grad_obj = ws.gradient() + rf
+            step = ws.inverse_hessian_apply(grad_obj)
+            rad = float(np.dot(grad_obj, step))
+        except ArithmeticError:  # a Python float's square over- or underflows
+            rad = math.nan
         if not math.isfinite(rad):
             # closed-form inverses have no pivot check; a non-finite local
             # norm means the iterate is numerically off the interior
@@ -175,7 +181,7 @@ def generic_conjugate_gradient(
             try:
                 ws = BarrierWorkspace(cone, cand)
                 break
-            except NotInteriorError:
+            except (NotInteriorError, ArithmeticError):
                 alpha *= 0.5
         else:  # no halving keeps the step interior
             break

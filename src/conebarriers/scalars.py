@@ -19,6 +19,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16  # 2**-52
+# log of the smallest normal double; below it exp(beta) is subnormal or 0
+_LOG_TINY = math.log(2.2250738585072014e-308)
 
 
 # --------------------------------------------------------------------------
@@ -33,18 +35,22 @@ def wright_omega(beta: float) -> float:
     on ``x + log(x) - beta``.  The map is concave and increasing, so after
     the first step the iterates increase monotonically to the root; a
     handful of steps reaches full double precision.
+
+    Below ``log`` of the smallest normal double, ``omega = exp(beta - omega)``
+    with ``exp(-omega)`` rounding to 1, so ``exp(beta)`` is the answer; the
+    iteration therefore only ever sees normal iterates, which stay positive.
     """
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("wright_omega: beta must be finite")
+    if beta < _LOG_TINY:
+        return math.exp(beta)
     x = beta if beta > 1.0 else math.exp(beta)
     for _ in range(32):
         f = x + math.log(x) - beta
         # Newton step for f with f' = 1 + 1/x, written to avoid overflow.
         step = f * x / (x + 1.0)
         x_new = x - step
-        if x_new <= 0.0:  # cannot occur from the monotone regime; be safe
-            x_new = 0.5 * x
         if abs(step) <= 2.0 * _EPS * x_new:
             x = x_new
             break

@@ -12,6 +12,7 @@ from conebarriers import (
     conjugate_gradient,
     conjugate_value,
     dual_in_interior,
+    generic_conjugate_gradient,
     gradient,
     in_interior,
     inner,
@@ -799,3 +800,18 @@ class TestValidation:
             assert not dual_in_interior(log, pt)
             with pytest.raises(NotInteriorError):
                 conjugate_gradient(log, pt)
+
+    def test_beta_below_exp_normal_range_classifies(self):
+        # beta is about -1024, where exp(beta) underflows to 0: Wright omega
+        # returns exp(beta), wbar - 1 < 0, and the point is not interior
+        for cone, pt in (
+            (ConeDescriptor.log(3),
+             ConePoint(epi=-1.0, persp=-1000.0, vec=np.full(3, 1e-300))),
+            (ConeDescriptor.logdet(3),
+             ConePoint(epi=-1.0, persp=-1000.0, mat=1e-300 * np.eye(3))),
+        ):
+            assert not dual_in_interior(cone, pt)
+            with pytest.raises(NotInteriorError):
+                conjugate_gradient(cone, pt)
+            with pytest.raises(NotInteriorError):
+                generic_conjugate_gradient(cone, pt)

@@ -245,41 +245,62 @@ class TestGenericSolver:
         assert diff <= 1e-6 * (1 + np.linalg.norm(pack(cone, spec.g_star)))
 
 
+# scales past binary64's range for generic Newton: log's inverse Hessian
+# and lspec's start workspace overflow a Python float's square, and
+# logdet's start scale nu / <w_c, r> is infinite
+_SCALE_EXITS = [("log", 1e-300), ("lspec", 1e-300), ("logdet", 2.0**-1060)]
 # scales at which generic Newton breaks g*(t r) = g*(r) / t (ROADMAP item 4):
-# log and lspec overflow a Python float's square, logdet's start point is
-# not finite, and the rest end CONVERGED after 0 iterations with lambda = 0,
-# because the inverse Hessian underflows, at a g* that is 93-100% off
-_SCALE_DEFECTS = [("log", 1e-300), ("lspec", 1e-300), ("logdet", 2.0**-1060),
-                  ("linf", 1e110), ("hpower", 1e170), ("hgeom", 1e170),
+# each ends CONVERGED after 0 iterations with lambda = 0, because the
+# inverse Hessian underflows, at a g* that is 93-100% off
+_SCALE_DEFECTS = [("linf", 1e110), ("hpower", 1e170), ("hgeom", 1e170),
                   ("rtdet", 1e300)]
+
+
+def _scaled_problem(family, t):
+    rng = np.random.default_rng(3)
+    cone = experiment._make_cone(ConeFamily(family), 4, rng)
+    r = sample_dual_point(cone, 0.1, rng)
+    return cone, r, unpack(cone, t * pack(cone, r))
 
 
 class TestHomogeneity:
     @pytest.mark.parametrize("family, t", [
         *((f, t) for f in ALL_FAMILIES for t in (2.0**-40, 2.0**40)),
+        *_SCALE_EXITS,
         *(pytest.param(f, t, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4"))
           for f, t in _SCALE_DEFECTS),
     ])
     def test_scaled_dual_point(self, family, t):
         # at t r the solve raises NotInteriorError, reports that it failed,
         # or returns t g*(t r) = g*(r)
-        rng = np.random.default_rng(3)
-        cone = experiment._make_cone(ConeFamily(family), 4, rng)
-        r = sample_dual_point(cone, 0.1, rng)
+        cone, r, tr = _scaled_problem(family, t)
         ref = pack(cone, generic_conjugate_gradient(cone, r)[0].g_star)
         try:
-            res, trace = generic_conjugate_gradient(cone, unpack(cone, t * pack(cone, r)))
+            res, trace = generic_conjugate_gradient(cone, tr)
         except NotInteriorError:
             return
         if trace.status in (NewtonStatus.CONVERGED, NewtonStatus.STALLED):
             got = t * pack(cone, res.g_star)
             assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("family, t", _SCALE_EXITS)
+    def test_past_binary64_leaves_interior(self, family, t):
+        # an overflowing start or iterate ends the solve like a start whose
+        # workspace does not build, with a finite g*
+        cone, _, tr = _scaled_problem(family, t)
+        res, trace = generic_conjugate_gradient(cone, tr)
+        assert trace.status is NewtonStatus.LEFT_INTERIOR
+        assert trace.iterations == res.iterations == 0
+        assert trace.lambdas == [np.inf]
+        assert not res.converged
+        assert np.all(np.isfinite(pack(cone, res.g_star)))
+
 
 class TestRareExits:
     """The exits that the solves above never reach: a start point whose
-    workspace does not build, a non-finite local norm at the start, a
-    backtracked step and the iteration cap."""
+    workspace does not build, a non-finite local norm or a float error at
+    the start, a backtracked step, a step that no halving keeps interior
+    and the iteration cap."""
 
     @staticmethod
     def problem(rng):
@@ -320,6 +341,19 @@ class TestRareExits:
         res, trace = generic_conjugate_gradient(cone, r)
         self.assert_stopped_at_start(cone, r, res, trace)
 
+    def test_float_error_at_start(self, rng, monkeypatch):
+        # log's inverse Hessian divides by v**2, which underflows to 0 at a
+        # dual point scaled by 1e200; the solve stops as at a NaN step
+        cone, r = self.problem(rng)
+        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+
+        def divide_by_zero(ws, x):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(cls, "inverse_hessian_apply", divide_by_zero)
+        res, trace = generic_conjugate_gradient(cone, r)
+        self.assert_stopped_at_start(cone, r, res, trace)
+
     def test_backtracks_past_refused_builds(self, rng, monkeypatch):
         # the first two candidates of the first step are refused, so the
         # step taken is a quarter of the damped one
@@ -348,6 +382,29 @@ class TestRareExits:
         assert self.start_lambda(cone, r, unpack(cone, taken)) == trace.lambdas[1]
         np.testing.assert_array_equal(pack(cone, res.g_star), -points[-1])
         assert res.converged and trace.lambdas[-1] <= DEFAULT_EPS
+
+    def test_every_halving_refused(self, rng, monkeypatch):
+        # the start builds and every candidate of the first step is refused
+        cone, r = self.problem(rng)
+        build = newton.BarrierWorkspace
+        points = []
+
+        def refuse_candidates(cone, x):
+            points.append(np.array(x))
+            if len(points) > 1:
+                raise NotInteriorError("refused")
+            return build(cone, x)
+
+        monkeypatch.setattr(newton, "BarrierWorkspace", refuse_candidates)
+        res, trace = generic_conjugate_gradient(cone, r)
+        assert len(points) == 2 + newton._MAX_BACKTRACKS
+        assert trace.status is NewtonStatus.LEFT_INTERIOR
+        assert trace.iterations == res.iterations == 0
+        assert len(trace.lambdas) == 1 and np.isfinite(trace.lambdas[0])
+        assert not res.converged
+        np.testing.assert_array_equal(pack(cone, res.g_star), -points[0])
+        w = pack(cone, default_initial_point(cone, r))
+        np.testing.assert_array_equal(points[0], w)
 
     def test_iteration_cap(self, rng, monkeypatch):
         cone, r = self.problem(rng)

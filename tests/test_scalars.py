@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,14 @@ class TestWrightOmega:
             assert wright_omega(float(beta)) == pytest.approx(
                 bisect_omega(float(beta)), rel=1e-13)
 
+    @pytest.mark.parametrize("beta", [-708.5, -720.0, -744.0, -745.0, -800.0])
+    def test_below_exp_normal_range_against_mpmath(self, beta):
+        # exp(beta) is subnormal or 0 here, where the bound allows no error;
+        # omega = exp(beta - omega) with exp(-omega) rounding to 1
+        with mpmath.workdps(50):
+            ref = float(mpmath.lambertw(mpmath.exp(mpmath.mpf(beta))))
+        assert abs(wright_omega(beta) - ref) <= 2 * EPS * ref
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             wright_omega(float("nan"))
@@ -98,6 +107,12 @@ class TestNewtonRaphson:
     def test_zero_start_counts_zero_iterations(self):
         res = newton_raphson(lambda y: (0.0, 1.0), 5.0)
         assert res.converged and res.iterations == 0 and res.root == 5.0
+
+    def test_flat_zero_converges_at_start(self):
+        # |h| <= abs_h with h' = 0: the residual test alone accepts the start
+        res = newton_raphson(lambda y: (0.0, 0.0), 2.0)
+        assert res.converged and res.iterations == 0
+        assert res.root == 2.0 and res.residual == 0.0
 
     def test_zero_derivative_not_converged(self):
         res = newton_raphson(lambda y: (1.0, 0.0), 0.0)
