@@ -2,9 +2,9 @@
 
 Each cone family gets a :class:`BarrierWorkspace` subclass that caches the
 intermediates shared by the oracles at a fixed interior point (the residual
-``zeta`` of the defining inequality, power products, eigen or singular value
-decompositions).  Workspaces are valid only for the point they were built at.
-A workspace builds only at an interior point; :func:`in_interior` is that
+``zeta`` of the defining inequality, power products, a Cholesky factor or
+an SVD).  Workspaces are valid only for the point they were built at.  A
+workspace builds only at an interior point; :func:`in_interior` is that
 check.
 
 Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
@@ -14,16 +14,16 @@ maps blocks to blocks, and the base class joins the result.
 workspace built from a ``ConePoint``, or an oracle called with one, returns
 ``ConePoint`` results.
 
-A matrix family's workspace is its vector family's with a lift mixin
-(:class:`_EigenLift`, :class:`_SingularLift`) that hands ``_prepare`` the
-spectrum in place of the vector block and rotates the results back through
-the frames; rtdet runs hgeom's weighted forms on the eigenvalues, with the
-equal weights ``1/d``.  The Hessian is lifted once, in :class:`_MatrixLift`
-(Lewis and Sendov, 2001): in the frames' basis, ``Xt = U^T X V``, it is the
-vector Hessian on ``(u, v, diag Xt)`` and the divided differences of the
-vector gradient on the off-diagonal entries, so a matrix family writes only
-that off-diagonal map.  The lifted Hessians act on the full (not
-symmetrized) matrix space, where they remain symmetric positive definite.
+A matrix family's workspace is its vector family's with a lift mixin.
+:class:`_DetLift` factors logdet's and rtdet's ``W = L L^T`` and writes
+their matrix blocks from ``W^-1``, ``W^-1 X W^-1``, ``W`` and ``W X W``
+with scalar parts; rtdet runs hgeom's forms with the equal weights ``1/d``.
+lspec's :class:`_SingularLift` hands ``_prepare`` the singular values and
+lifts the Hessian through the frames (Lewis and Sendov, 2001): in the
+frames' basis, ``Xt = U^T X V``, it is the vector Hessian on ``(u, diag
+Xt)`` and the divided differences of the vector gradient off the diagonal.
+The matrix Hessians act on the full (not symmetrized) matrix space, where
+they remain symmetric positive definite.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
 factors the dense Hessian, which :meth:`BarrierWorkspace.hessian_dense`
@@ -34,9 +34,11 @@ builds from the Hessian action, column by column, as a test oracle only.
 - rpower and rgeom use the form obtained by differentiating the
   conjugate-gradient map.
 - linf is an arrowhead matrix, solved in O(d).
-- A lifted Hessian is block diagonal in the frames' basis, so its inverse is
-  the vector inverse on the diagonal and the inverse off-diagonal map: four
-  matrix products of order d instead of a factorization of order ``d^2``.
+- logdet and rtdet are log's and hgeom's eliminations with ``W X W`` in
+  place of ``w^2 x_w``: two matrix products of order d, and no ``W^-1``.
+- lspec's lifted Hessian is block diagonal in the frames' basis, so its
+  inverse is the vector inverse on the diagonal and the inverse
+  off-diagonal map: four matrix products of order d1, no factorization.
 
 The denominators are sums of positive terms, so the solves stay accurate
 next to the boundary, where the dense Hessian is too ill-conditioned to
@@ -46,6 +48,7 @@ factor.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +61,8 @@ from .cones import (
     pack,
     unpack,
 )
-from .linalg import sym_eigen, svd
-from .linalg import cholesky_factor  # noqa: F401  # wrapped by perfbench/tracer.py
+from .linalg import NonPositiveDefiniteError, check_symmetric, cholesky_factor, svd
+from .linalg import sym_eigen  # noqa: F401  # wrapped by perfbench/tracer.py
 
 __all__ = [
     "BarrierWorkspace",
@@ -98,17 +101,21 @@ class BarrierWorkspace:
         self.x = x
         self._grad = None
         epi, persp, vec, mat = self.layout.blocks(x)
-        if not self._prepare(epi, persp, self._spectrum(vec if mat is None else mat)):
+        w = self._spectrum(vec if mat is None else mat)
+        if w is None or not self._prepare(epi, persp, w):
             raise NotInteriorError(f"point is not in the interior of the {cone.family.value} cone")
 
-    # subclasses implement _prepare(epi, persp, w) (w the vector block or
-    # spectrum), which returns whether the point is interior, value,
-    # _grad_parts, and _hessian and _inverse_hessian, which map the blocks
-    # (xu, xv, xw) to (yu, yv, yw); the public oracles below are the
-    # ConePoint edge
+    # subclasses implement _prepare(epi, persp, w) (w what _spectrum makes
+    # of the block, None if not interior), which returns whether the point
+    # is interior, value, _grad_parts, and _hessian and _inverse_hessian,
+    # which map the blocks (xu, xv, xw) to (yu, yv, yw); the public oracles
+    # below are the ConePoint edge
 
     def _spectrum(self, block: np.ndarray) -> np.ndarray:
         return block
+
+    def _log(self, w: np.ndarray) -> np.ndarray:
+        return np.log(w)
 
     def _lift(self, g: np.ndarray) -> np.ndarray:
         return g
@@ -153,9 +160,9 @@ class BarrierWorkspace:
         return np.stack(cols, axis=1)
 
 
-class _MatrixLift:
-    """Runs the vector workspace on the spectrum of ``W = L diag(w) R^T``
-    (``frames = (L, R)``) and lifts its results back.
+class _SingularLift:
+    """Runs the vector workspace on the singular values of
+    ``W = L diag(w) R^T`` (``frames = (L, R)``) and lifts its results back.
 
     In the frames' basis, ``Xt = L^T X R``, the Hessian is the vector
     Hessian on ``(xu, xv, diag Xt)`` and the family's ``_offdiag`` map on
@@ -165,6 +172,11 @@ class _MatrixLift:
     do not couple, so the inverse is the vector inverse with the inverse
     maps.
     """
+
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
+        dec = svd(mat)
+        self.frames = (dec.U, dec.V)
+        return dec.sigma
 
     def _lift(self, g: np.ndarray) -> np.ndarray:
         left, right = self.frames
@@ -189,28 +201,44 @@ class _MatrixLift:
         return yu, yv, left @ ym
 
 
-class _EigenLift(_MatrixLift):
-    """``W = U diag(lam) U^T``.  The vector gradient is ``-c / lam``, so the
-    Hessian maps ``Xt_ij`` to ``c Xt_ij / (lam_i lam_j)``; subclasses
-    define ``_c``."""
+class _DetLift:
+    """``W = L L^T``.  logdet and rtdet read ``W`` through ``log det W``
+    alone, so the vector family runs on ``w = diag L`` with the logs
+    ``2 log L_ii``; a failed pivot means the point is not interior.  The
+    gradient's matrix block is ``-c W^-1``, the Hessian maps ``X`` to
+    ``c W^-1 X W^-1 + t W^-1`` and its inverse maps ``X`` to
+    ``(W X W + s W) / c``, with ``(yu, yv, t)`` from the family's
+    ``_hessian_scalars(xu, xv, tr W^-1 X)`` and ``(yu, yv, s, c)`` from
+    ``_inverse_scalars(xu, xv, tr W X)``; subclasses define ``_c``."""
 
-    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        eig = sym_eigen(mat)
-        self.frames = (eig.vectors, eig.vectors)
-        return eig.values
+    def _spectrum(self, mat: np.ndarray) -> np.ndarray | None:
+        self.mat = check_symmetric(mat, "barrier workspace")
+        try:
+            self.low = cholesky_factor(self.mat)
+        except NonPositiveDefiniteError:
+            return None
+        return self.low.diagonal()
 
-    def _offdiag(self, xt: np.ndarray, inverse: bool) -> np.ndarray:
-        ll = self.w[:, None] * self.w
-        return ll * xt / self._c() if inverse else self._c() * xt / ll
+    def _log(self, w: np.ndarray) -> np.ndarray:
+        return 2.0 * np.log(w)
 
+    @cached_property
+    def winv(self) -> np.ndarray:
+        linv = np.linalg.inv(self.low)
+        return linv.T @ linv
 
-class _SingularLift(_MatrixLift):
-    """``W = U diag(sigma) V^T``."""
+    def _lift(self, _) -> np.ndarray:
+        return -self._c() * self.winv
 
-    def _spectrum(self, mat: np.ndarray) -> np.ndarray:
-        dec = svd(mat)
-        self.frames = (dec.U, dec.V)
-        return dec.sigma
+    def _hessian(self, xu, xv, xm):
+        ax = self.winv @ xm
+        yu, yv, t = self._hessian_scalars(xu, xv, float(ax.trace()))
+        return yu, yv, self._c() * (ax @ self.winv) + t * self.winv
+
+    def _inverse_hessian(self, xu, xv, xm):
+        ax = self.mat @ xm
+        yu, yv, s, c = self._inverse_scalars(xu, xv, float(ax.trace()))
+        return yu, yv, (ax @ self.mat + s * self.mat) / c
 
 
 # --------------------------------------------------------------------------
@@ -218,13 +246,13 @@ class _SingularLift(_MatrixLift):
 # --------------------------------------------------------------------------
 
 class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
-    """`w` is the vector block or eig(W)."""
+    """`w` is the vector block or the diagonal of W = L L^T."""
 
     def _prepare(self, u, v, w):
         self.u, self.v, self.w = u, v, w
         if not (v > 0.0 and np.logical_and.reduce(w > 0.0)):
             return False
-        self.slog = float(np.add.reduce(np.log(w)))
+        self.slog = float(np.add.reduce(self._log(w)))
         self.phi = self.slog - w.size * np.log(v)
         self.zeta = v * self.phi - u
         self.sigma = self.phi - w.size
@@ -240,29 +268,37 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         return gu, gv, gw
 
     def _inverse_hessian(self, xu, xv, xw):
-        # eliminate u; the w block left is c diag(w)^-2 plus rank-one terms
-        v, w, zeta, sigma, d = self.v, self.w, self.zeta, self.sigma, self.w.size
+        w = self.w
+        yu, yv, s, c = self._inverse_scalars(xu, xv, float(np.add.reduce(w * xw)))
+        return yu, yv, (w**2 * xw + s * w) / c
+
+    def _inverse_scalars(self, xu, xv, tr):
+        # eliminate u; the w block left is c diag(w)^-2 plus rank-one terms,
+        # and y_w = (w^2 x_w + s w) / c with tr = <w, x_w>
+        v, zeta, sigma, d = self.v, self.zeta, self.sigma, self.w.size
         a = 1.0 / zeta
         c = 1.0 + v * a
-        tau = float(np.add.reduce(w * xw)) + v * d * xu
+        tau = tr + v * d * xu
         yv = (xv + sigma * xu + a * tau / c) / (d * a / (v * c) + 1.0 / v**2)
-        yw = (w**2 * xw + (v * xu + a * yv) * w) / c
         yu = sigma * yv + v * (tau + a * d * yv) / c + zeta**2 * xu
-        return yu, yv, yw
+        return yu, yv, v * xu + a * yv, c
 
     def _hessian(self, xu, xv, xw):
-        v, w, zeta, sigma = self.v, self.w, self.zeta, self.sigma
-        tr = float(np.add.reduce(xw / w))
+        w = self.w
+        yu, yv, t = self._hessian_scalars(xu, xv, float(np.add.reduce(xw / w)))
+        return yu, yv, t / w + (self.v / self.zeta) * xw / w**2 + xw / w**2
+
+    def _hessian_scalars(self, xu, xv, tr):
+        # y_w = t / w + (v / zeta + 1) x_w / w^2 with tr = <1 / w, x_w>
+        v, zeta, sigma = self.v, self.zeta, self.sigma
         dzeta = -xu + sigma * xv + v * tr
-        dsigma = tr - w.size * xv / v
+        dsigma = tr - self.w.size * xv / v
         yu = -dzeta / zeta**2
         yv = -dsigma / zeta + sigma * dzeta / zeta**2 + xv / v**2
-        yw = (-(xv / zeta - v * dzeta / zeta**2) / w
-              + (v / zeta) * xw / w**2 + xw / w**2)
-        return yu, yv, yw
+        return yu, yv, -(xv / zeta - v * dzeta / zeta**2)
 
 
-class _LogDetW(_EigenLift, _LogW, family=ConeFamily.LOGDET):
+class _LogDetW(_DetLift, _LogW, family=ConeFamily.LOGDET):
     def _c(self) -> float:
         return self.v / self.zeta + 1.0
 
@@ -277,7 +313,7 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         self.alpha = self.cone.alpha
         if not np.logical_and.reduce(w > 0.0):
             return False
-        self.lw = np.log(w)
+        self.lw = self._log(w)
         self.phi = float(np.exp(np.dot(self.alpha, self.lw)))
         self.zeta = self.phi - u
         # an infinite w_i or u makes zeta infinite
@@ -313,10 +349,22 @@ class _HPowerW(BarrierWorkspace, family=(ConeFamily.HPOWER, ConeFamily.HGEOM)):
         return yu, None, yw
 
 
-class _RtDetW(_EigenLift, _HPowerW, family=ConeFamily.RTDET):
+class _RtDetW(_DetLift, _HPowerW, family=ConeFamily.RTDET):
+    # hgeom's forms with the equal weights 1/d, where its Sherman-Morrison
+    # terms are multiples of W and its denominator k3 is 1 / c
     def _c(self) -> float:
         return self.phi / (self.w.size * self.zeta) + 1.0
 
+    def _hessian_scalars(self, xu, _, tr):
+        phi, zeta, d = self.phi, self.zeta, self.w.size
+        dphi = phi * tr / d
+        dzeta = -xu + dphi
+        return -dzeta / zeta**2, None, -(dphi / zeta - phi * dzeta / zeta**2) / d
+
+    def _inverse_scalars(self, xu, _, tr):
+        phi, zeta, d, c = self.phi, self.zeta, self.w.size, self._c()
+        s = (phi / d) * (xu + (tr + phi * xu) / (zeta * d))
+        return zeta**2 * xu + phi * (tr + s * d) / (d * c), None, s, c
 
 # --------------------------------------------------------------------------
 # radial power cone

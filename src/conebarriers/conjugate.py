@@ -402,10 +402,14 @@ def _linf_root(p, rv, delta):
     """The reduction's callback, its root ``yhat < 0`` and the RootResult
     (``None`` for a zero ``r``, whose root is ``-(d + 1)/p``)."""
     fn, y0 = _linf_reduction(p, rv, delta)
-    if not np.logical_or.reduce(rv != 0.0):
-        return fn, -(rv.size + 1.0) / p, None
-    res = newton_raphson(fn, y0)
-    return fn, res.root, res
+    res = newton_raphson(fn, y0) if np.logical_or.reduce(rv != 0.0) else None
+    y = -(rv.size + 1.0) / p if res is None else res.root
+    # g* and f* square the root, about -(d + 1) / p; past binary64's range
+    # that is an overflow, not an answer, until inputs are normalized by
+    # their scale
+    if not math.isfinite(y * y):
+        raise NotInteriorError("linf conjugate: the root's square overflows binary64")
+    return fn, y, res
 
 
 def _linf_gradient(cone, p, q, rv, delta):

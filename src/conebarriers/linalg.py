@@ -1,15 +1,17 @@
 """Dense linear algebra used by the matrix cones' primal and dual oracles.
 
 Thin wrappers over numpy's LAPACK routines that enforce the contracts the
-rest of the package relies on: validated symmetry and descending spectra.
+rest of the package relies on: validated symmetry (:func:`check_symmetric`,
+shared by the eigendecomposition and the logdet and rtdet workspaces'
+Cholesky factor of ``W``) and descending spectra.
 :class:`NonPositiveDefiniteError` is the distinct error type of a failed
-Cholesky pivot, raised only by the dense test oracle below; the generic
-Newton solver never factorizes and reports a non-finite local norm as a
-status, not as this error.
+Cholesky pivot; those workspaces read it as "not interior", and the
+generic Newton solver never sees it and reports a non-finite local norm as
+a status.
 
-No barrier solves with a Cholesky factorization: every family has a
-closed-form inverse Hessian.  The Cholesky routines solve with the dense
-Hessians, which serve as test oracles.
+No barrier factors its Hessian: every family has a closed-form inverse
+Hessian.  :func:`cholesky_solve` solves with the dense Hessians, which
+serve as test oracles.
 """
 
 from __future__ import annotations
@@ -61,21 +63,26 @@ class Svd:
         return (self.U * self.sigma) @ self.V.T
 
 
-def sym_eigen(a: np.ndarray) -> SymEigen:
-    """Symmetric eigendecomposition with eigenvalues sorted descending."""
+def check_symmetric(a: np.ndarray, caller: str) -> np.ndarray:
+    """``a`` as floats if finite, square and symmetric, else ``ValueError``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_eigen: expected a square matrix")
-    # eigh reads only the lower triangle, and NaN or inf passes the test below
+        raise ValueError(f"{caller}: expected a square matrix")
+    # eigh and cholesky read one triangle, and NaN or inf passes the test below
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise ValueError("sym_eigen: matrix is not finite")
+        raise ValueError(f"{caller}: matrix is not finite")
     # an exactly symmetric matrix, as generic Newton's iterates are, passes
     # the tolerance test without its two norms
     if not np.logical_and.reduce(a == a.T, axis=None):
         scale = np.linalg.norm(a)
         if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
-            raise ValueError("sym_eigen: matrix is not symmetric")
-    values, vectors = np.linalg.eigh(a)
+            raise ValueError(f"{caller}: matrix is not symmetric")
+    return a
+
+
+def sym_eigen(a: np.ndarray) -> SymEigen:
+    """Symmetric eigendecomposition with eigenvalues sorted descending."""
+    values, vectors = np.linalg.eigh(check_symmetric(a, "sym_eigen"))
     return SymEigen(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 

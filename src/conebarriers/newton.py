@@ -29,8 +29,8 @@ workspaces (``BarrierWorkspace(cone, x)`` on a packed vector) are float64
 vectors in the cone's :class:`~.cones.PackedLayout`, and :class:`ConePoint`
 appears only at the API edge, in the arguments and the returned ``g_star``.
 Each step's candidate has its matrix block symmetrized exactly, as
-``0.5 * (m + m.T)``, so that :func:`~.linalg.sym_eigen` accepts it with one
-equality test in place of the two norms of its tolerance test.
+``0.5 * (m + m.T)``, so that :func:`~.linalg.check_symmetric` accepts it
+with one equality test in place of the two norms of its tolerance test.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from conebarriers import (
     pack,
     unpack,
 )
-from conftest import ALL_FAMILIES, interior_point, random_cone
+from conftest import ALL_FAMILIES, interior_point, rand_orthogonal, random_cone
 
 
 class TestPowerParams:
@@ -201,6 +201,23 @@ class TestMembership:
                 probe = ConePoint(epi=epi, vec=inside.vec)
                 expect = t < 1.0
             assert in_interior(cone, probe) == expect, (fam, t)
+
+    @pytest.mark.parametrize("family", ["logdet", "rtdet"])
+    def test_psd_boundary_follows_the_sign(self, family, rng):
+        # W = Q diag(lam) Q^T with lam_min = +-1e-13 or +-1e-8 lam_max, far
+        # outside W's own rounding (about 1e-15 lam_max): the Cholesky
+        # factor's pivots decide membership as the sign of lam_min does
+        for d in (2, 4, 8):
+            cone = ConeDescriptor(ConeFamily(family), d=d)
+            for lam_min in (1e-13, -1e-13, 1e-8, -1e-8):
+                for _ in range(10):
+                    lam = np.concatenate(([1.0], rng.uniform(0.1, 1.0, d - 2), [lam_min]))
+                    q = rand_orthogonal(rng, d)
+                    m = (q * lam) @ q.T
+                    # u far below the epigraph: only W decides
+                    pt = ConePoint(epi=-1e3, persp=1.0 if family == "logdet" else None,
+                                   mat=0.5 * (m + m.T))
+                    assert in_interior(cone, pt) is (lam_min > 0.0)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_agrees_with_workspace_at_the_boundary(self, family, rng):

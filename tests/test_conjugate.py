@@ -801,6 +801,26 @@ class TestValidation:
             with pytest.raises(NotInteriorError):
                 conjugate_gradient(log, pt)
 
+    @pytest.mark.parametrize("family, t", [("linf", 1e-160), ("linf", 1e-200),
+                                           ("linf", 2.0**-600), ("lspec", 1e-200)])
+    def test_norm_root_past_binary64_raises_typed(self, family, t):
+        # at t r, h's root is about -(d + 1) / p and its square overflows:
+        # g* and f* end as NotInteriorError until ROADMAP item 5 normalizes
+        # the scale; at t = 1e-150 both evaluate and g* scales as 1 / t
+        if family == "linf":
+            cone, r = ConeDescriptor.linf(3), ConePoint(epi=2.0, vec=np.array([0.3, 0.5, 0.7]))
+        else:
+            cone = ConeDescriptor.lspec(2, 3)
+            r = ConePoint(epi=2.0, mat=np.array([[0.3, 0.1, 0.0], [0.0, 0.5, 0.2]]))
+        x = pack(cone, r)
+        for oracle in (conjugate_gradient, conjugate_value):
+            with pytest.raises(NotInteriorError):
+                oracle(cone, unpack(cone, t * x))
+        g = pack(cone, conjugate_gradient(cone, r).g_star)
+        scaled = pack(cone, conjugate_gradient(cone, unpack(cone, 1e-150 * x)).g_star)
+        assert np.linalg.norm(1e-150 * scaled - g) <= 1e-12 * np.linalg.norm(g)
+        assert math.isfinite(conjugate_value(cone, unpack(cone, 1e-150 * x)))
+
     def test_beta_below_exp_normal_range_classifies(self):
         # beta is about -1024, where exp(beta) underflows to 0: Wright omega
         # returns exp(beta), wbar - 1 < 0, and the point is not interior

@@ -21,7 +21,7 @@ from conebarriers import (
     sample_dual_point,
     unpack,
 )
-from conebarriers import barriers, experiment, newton
+from conebarriers import experiment, newton
 from conftest import ALL_FAMILIES, interior_point, random_cone
 
 
@@ -219,20 +219,73 @@ class TestGenericSolver:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_no_cholesky_factorization(self, family, rng, monkeypatch):
-        # every family solves with a closed-form inverse Hessian; linalg
-        # looks up np.linalg.cholesky on each call, so patching numpy's
-        # binding refuses a factorization by any route through the package
-        def refuse(*args, **kwargs):
-            raise AssertionError("Cholesky factorization called")
+        # every family solves with a closed-form inverse Hessian, so no
+        # factorization of Hessian order (d^2 + 2 for logdet, d^2 + 1 for
+        # rtdet) runs: logdet and rtdet factor W, of order d, and the other
+        # families factor nothing.  linalg looks up np.linalg.cholesky on
+        # each call, so patching numpy's binding guards every route through
+        # the package
+        factor = np.linalg.cholesky
 
-        monkeypatch.setattr(barriers, "cholesky_factor", refuse)
-        monkeypatch.setattr("numpy.linalg.cholesky", refuse)
+        def guarded(a, *args, **kwargs):
+            if family not in ("logdet", "rtdet") or len(a) != cone.d:
+                raise AssertionError(f"Cholesky factorization of order {len(a)}")
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr("numpy.linalg.cholesky", guarded)
         for o in (1e-5, 1e-1):
             cone = random_cone(family, rng)
             r = sample_dual_point(cone, o, rng)
             _, trace = generic_conjugate_gradient(cone, r)
             assert trace.status in (NewtonStatus.CONVERGED, NewtonStatus.STALLED)
             assert trace.iterations > 0
+
+    @pytest.mark.parametrize("family", ["logdet", "rtdet"])
+    def test_determinant_workspaces_decompose_no_iterate(self, family, rng, monkeypatch):
+        # the dual membership test decomposes r once; every workspace build
+        # after it factors W once, and no iterate is decomposed.  numpy's
+        # bindings are counted, so no route through the package escapes
+        eigh, factor, build = np.linalg.eigh, np.linalg.cholesky, BarrierWorkspace.__init__
+        membership = newton.dual_in_interior
+        eighs, orders, builds, inside = [], [], [], []
+
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(bool(inside))
+            return eigh(a, *args, **kwargs)
+
+        def counted_factor(a, *args, **kwargs):
+            orders.append(len(a))
+            return factor(a, *args, **kwargs)
+
+        def counted_build(ws, *args):
+            builds.append(None)
+            build(ws, *args)
+
+        def flagged_membership(*args):
+            inside.append(None)
+            try:
+                return membership(*args)
+            finally:
+                inside.pop()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposition other than one eigh")
+
+        monkeypatch.setattr("numpy.linalg.eigh", counted_eigh)
+        monkeypatch.setattr("numpy.linalg.eigvalsh", refuse)
+        monkeypatch.setattr("numpy.linalg.svd", refuse)
+        monkeypatch.setattr("numpy.linalg.cholesky", counted_factor)
+        monkeypatch.setattr(BarrierWorkspace, "__init__", counted_build)
+        monkeypatch.setattr(newton, "dual_in_interior", flagged_membership)
+        for o in (1e-5, 1e-1):
+            cone = random_cone(family, rng)
+            r = sample_dual_point(cone, o, rng)
+            for calls in (eighs, orders, builds):
+                calls.clear()
+            _, trace = generic_conjugate_gradient(cone, r)
+            assert eighs == [True]
+            assert len(builds) > trace.iterations > 0
+            assert orders == [cone.d] * len(builds)
 
     @pytest.mark.parametrize("family", ["logdet", "rtdet", "lspec"])
     def test_matrix_cones_supported(self, family, rng):
@@ -250,8 +303,10 @@ class TestGenericSolver:
 # logdet's start scale nu / <w_c, r> is infinite
 _SCALE_EXITS = [("log", 1e-300), ("lspec", 1e-300), ("logdet", 2.0**-1060)]
 # scales at which generic Newton breaks g*(t r) = g*(r) / t (ROADMAP item 4):
-# each ends CONVERGED after 0 iterations with lambda = 0, because the
-# inverse Hessian underflows, at a g* that is 93-100% off
+# linf, hpower and hgeom end CONVERGED after 0 iterations with lambda = 0,
+# because the inverse Hessian underflows, at a g* that is 93-100% off;
+# rtdet stalls after 22 iterations at lambda 3.5e-5, 0.3% off, with
+# zeta**2 underflowed to 0 at its iterates
 _SCALE_DEFECTS = [("linf", 1e110), ("hpower", 1e170), ("hgeom", 1e170),
                   ("rtdet", 1e300)]
 
@@ -455,7 +510,8 @@ class TestIterateSymmetry:
         r = sample_dual_point(cone, 1e-1, rng)
         x = pack(cone, default_initial_point(cone, r))
         m = x[cone.layout.mat].reshape(cone.layout.mat_shape)
-        # eigh reads only the lower triangle, so the defect sits above it
+        # eigh and cholesky read only the lower triangle, so the defect sits
+        # above it
         m[0, -1] = np.nan if defect == "nan" else m[0, -1] + 1e-11 * np.linalg.norm(m)
         point = unpack(cone, x)
         for call in (lambda: BarrierWorkspace(cone, x),
