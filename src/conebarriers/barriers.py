@@ -14,15 +14,18 @@ maps blocks to blocks, and the base class joins the result.
 workspace built from a ``ConePoint``, or an oracle called with one, returns
 ``ConePoint`` results.
 
-A matrix family's workspace is its vector family's with a lift mixin.
-:class:`_DetLift` factors logdet's and rtdet's ``W = L L^T`` and writes
-their matrix blocks from ``W^-1``, ``W^-1 X W^-1``, ``W`` and ``W X W``
-with scalar parts; rtdet runs hgeom's forms with the equal weights ``1/d``.
-lspec's :class:`_SingularLift` hands ``_prepare`` the singular values and
-lifts the Hessian through the frames (Lewis and Sendov, 2001): in the
-frames' basis, ``Xt = U^T X V``, it is the vector Hessian on ``(u, diag
-Xt)`` and the divided differences of the vector gradient off the diagonal.
-The matrix Hessians act on the full (not symmetrized) matrix space, where
+A matrix family's workspace is its vector family's with a lift mixin,
+which writes its inverse Hessian once, in its frames, for both
+``inverse_hessian_apply`` and ``newton_step`` (generic Newton's step and
+``lambda^2``; no gradient is lifted and no ``W^-1`` formed for it).
+:class:`_DetLift` factors logdet's and rtdet's ``W = L L^T``; its frame is
+``M = L^T X L``, and ``W^-1`` serves only the public gradient and Hessian.
+rtdet runs hgeom's forms with the equal weights ``1/d``.  lspec's
+:class:`_SingularLift` hands ``_prepare`` the singular values and lifts
+the Hessian through the frames (Lewis and Sendov, 2001): in the frames'
+basis, ``Xt = U^T X V``, it is the vector Hessian on ``(u, diag Xt)`` and
+the divided differences of the vector gradient off the diagonal.  The
+matrix Hessians act on the full (not symmetrized) matrix space, where
 they remain symmetric positive definite.
 
 Every family has a closed-form inverse Hessian operator; none assembles or
@@ -34,8 +37,8 @@ builds from the Hessian action, column by column, as a test oracle only.
 - rpower and rgeom use the form obtained by differentiating the
   conjugate-gradient map.
 - linf is an arrowhead matrix, solved in O(d).
-- logdet and rtdet are log's and hgeom's eliminations with ``W X W`` in
-  place of ``w^2 x_w``: two matrix products of order d, and no ``W^-1``.
+- logdet and rtdet are log's and hgeom's eliminations in the frame ``M``:
+  ``(M + s I) / c``, four matrix products of order d, and no ``W^-1``.
 - lspec's lifted Hessian is block diagonal in the frames' basis, so its
   inverse is the vector inverse on the diagonal and the inverse
   off-diagonal map: four matrix products of order d1, no factorization.
@@ -48,6 +51,7 @@ factor.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -153,6 +157,14 @@ class BarrierWorkspace:
     def inverse_hessian_apply(self, x):
         return self._apply(self._inverse_hessian, x)
 
+    def newton_step(self, r: np.ndarray) -> tuple[np.ndarray, float]:
+        """Newton's step ``H^-1 (g + r)`` for ``<r, w> + f(w)`` and its
+        squared local norm ``<g + r, H^-1 (g + r)>``, on packed vectors;
+        the matrix families evaluate both in their frames."""
+        grad_obj = self.gradient() + r
+        step = self.inverse_hessian_apply(grad_obj)
+        return step, float(np.dot(grad_obj, step))
+
     def hessian_dense(self) -> np.ndarray:
         """The Hessian in packed coordinates, assembled column by column
         from the action (a test oracle)."""
@@ -160,7 +172,28 @@ class BarrierWorkspace:
         return np.stack(cols, axis=1)
 
 
-class _SingularLift:
+class _FrameLift:
+    """A matrix family's workspace in its frames: ``_frame(xm)`` maps a
+    matrix block to frame blocks ``xf`` with ``<X, Y> = sum_i <xf_i, yf_i>``,
+    ``_frame_inverse`` is the inverse Hessian on them and ``_unframe`` maps
+    a result back.  A Newton step stays in the frames, where ``_frame(rm,
+    gw)`` adds the gradient's matrix block to ``R``'s, never forming it."""
+
+    def _inverse_hessian(self, xu, xv, xm):
+        yu, yv, yf = self._frame_inverse(xu, xv, self._frame(xm))
+        return yu, yv, self._unframe(yf)
+
+    def newton_step(self, r: np.ndarray) -> tuple[np.ndarray, float]:
+        ru, rv, _, rm = self.layout.blocks(check_packed(self.cone, r))
+        gu, gv, gw = self._grad_parts()
+        xu, xv = gu + ru, None if gv is None else gv + rv
+        xf = self._frame(rm, gw)
+        yu, yv, yf = self._frame_inverse(xu, xv, xf)
+        lam2 = xu * yu + (0.0 if yv is None else xv * yv) + float(sum(map(np.vdot, xf, yf)))
+        return self.layout.join(yu, yv, mat=self._unframe(yf)), lam2
+
+
+class _SingularLift(_FrameLift):
     """Runs the vector workspace on the singular values of
     ``W = L diag(w) R^T`` (``frames = (L, R)``) and lifts its results back.
 
@@ -168,9 +201,9 @@ class _SingularLift:
     Hessian on ``(xu, xv, diag Xt)`` and the family's ``_offdiag`` map on
     the other entries, built from the divided differences of the vector
     gradient; when ``R`` has more rows than columns, the rows of the
-    complement ``L^T X (I - R R^T)`` scale by ``_complement``.  The parts
-    do not couple, so the inverse is the vector inverse with the inverse
-    maps.
+    complement ``Xc = L^T X (I - R R^T)`` scale by ``_complement``.  The
+    parts do not couple, so the inverse is the vector inverse with the
+    inverse maps.  The gradient's frame blocks are ``diag(g_w)`` and 0.
     """
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray:
@@ -182,39 +215,51 @@ class _SingularLift:
         left, right = self.frames
         return (left * g) @ right.T
 
-    def _hessian(self, xu, xv, xm):
-        return self._lifted(super()._hessian, False, xu, xv, xm)
-
-    def _inverse_hessian(self, xu, xv, xm):
-        return self._lifted(super()._inverse_hessian, True, xu, xv, xm)
-
-    def _lifted(self, vector_op, inverse, xu, xv, xm):
+    def _frame(self, xm, gw=None):
         left, right = self.frames
         ax = left.T @ xm
         xt = ax @ right
+        xc = (ax - xt @ right.T,) if right.shape[0] > right.shape[1] else ()
+        if gw is not None:
+            xt.flat[::xt.shape[0] + 1] += gw
+        return (xt, *xc)
+
+    def _unframe(self, yf):
+        left, right = self.frames
+        return left @ sum(yf[1:], yf[0] @ right.T)
+
+    def _hessian(self, xu, xv, xm):
+        yu, yv, yf = self._framed(False, xu, xv, self._frame(xm))
+        return yu, yv, self._unframe(yf)
+
+    def _frame_inverse(self, xu, xv, xf):
+        return self._framed(True, xu, xv, xf)
+
+    def _framed(self, inverse, xu, xv, xf):
+        xt, *xc = xf
+        # the vector family's operators, past _FrameLift's own inverse
+        vector = super(_FrameLift, self)
+        vector_op = vector._inverse_hessian if inverse else vector._hessian
         yu, yv, ydiag = vector_op(xu, xv, xt.diagonal())
         yt = self._offdiag(xt, inverse)
         yt.flat[::yt.shape[0] + 1] = ydiag
-        ym = yt @ right.T
-        if right.shape[0] > right.shape[1]:
-            ym += self._complement(inverse)[:, None] * (ax - xt @ right.T)
-        return yu, yv, left @ ym
+        return yu, yv, (yt, *(self._complement(inverse)[:, None] * block for block in xc))
 
 
-class _DetLift:
+class _DetLift(_FrameLift):
     """``W = L L^T``.  logdet and rtdet read ``W`` through ``log det W``
     alone, so the vector family runs on ``w = diag L`` with the logs
     ``2 log L_ii``; a failed pivot means the point is not interior.  The
-    gradient's matrix block is ``-c W^-1``, the Hessian maps ``X`` to
-    ``c W^-1 X W^-1 + t W^-1`` and its inverse maps ``X`` to
-    ``(W X W + s W) / c``, with ``(yu, yv, t)`` from the family's
-    ``_hessian_scalars(xu, xv, tr W^-1 X)`` and ``(yu, yv, s, c)`` from
-    ``_inverse_scalars(xu, xv, tr W X)``; subclasses define ``_c``."""
+    frame is ``M = L^T X L`` (``L^-1 Y L^-T`` for a result), where the
+    inverse Hessian is ``(M + s I) / c`` with ``(yu, yv, s, c)`` from the
+    family's ``_inverse_scalars(xu, xv, tr M)`` and the gradient's block is
+    ``-c I``.  ``W^-1`` serves only the public gradient, ``-c W^-1``, and
+    Hessian, ``X -> c W^-1 X W^-1 + t W^-1`` with ``(yu, yv, t)`` from
+    ``_hessian_scalars(xu, xv, tr W^-1 X)``; subclasses define ``_c``."""
 
     def _spectrum(self, mat: np.ndarray) -> np.ndarray | None:
-        self.mat = check_symmetric(mat, "barrier workspace")
         try:
-            self.low = cholesky_factor(self.mat)
+            self.low = cholesky_factor(check_symmetric(mat, "barrier workspace"))
         except NonPositiveDefiniteError:
             return None
         return self.low.diagonal()
@@ -235,10 +280,20 @@ class _DetLift:
         yu, yv, t = self._hessian_scalars(xu, xv, float(ax.trace()))
         return yu, yv, self._c() * (ax @ self.winv) + t * self.winv
 
-    def _inverse_hessian(self, xu, xv, xm):
-        ax = self.mat @ xm
-        yu, yv, s, c = self._inverse_scalars(xu, xv, float(ax.trace()))
-        return yu, yv, (ax @ self.mat + s * self.mat) / c
+    def _frame(self, xm, gw=None):
+        m = self.low.T @ xm @ self.low
+        if gw is not None:
+            m.flat[::m.shape[0] + 1] -= self._c()
+        return (m,)
+
+    def _unframe(self, yf):
+        return self.low @ (yf[0] @ self.low.T)
+
+    def _frame_inverse(self, xu, xv, xf):
+        yu, yv, s, c = self._inverse_scalars(xu, xv, float(xf[0].trace()))
+        ym = xf[0] / c
+        ym.flat[::ym.shape[0] + 1] += s / c
+        return yu, yv, (ym,)
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +307,15 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
         self.u, self.v, self.w = u, v, w
         if not (v > 0.0 and np.logical_and.reduce(w > 0.0)):
             return False
-        self.slog = float(np.add.reduce(self._log(w)))
-        self.phi = self.slog - w.size * np.log(v)
+        self.slog, self.phi = self._log_sums(w, v)
         self.zeta = v * self.phi - u
         self.sigma = self.phi - w.size
         return math.isfinite(self.zeta) and self.zeta > 0.0
+
+    def _log_sums(self, w, v) -> tuple[float, float]:
+        # log prod w and log prod(w / v)
+        slog = float(np.add.reduce(self._log(w)))
+        return slog, slog - w.size * np.log(v)
 
     def value(self) -> float:
         return -np.log(self.zeta) - np.log(self.v) - self.slog
@@ -301,6 +360,17 @@ class _LogW(BarrierWorkspace, family=ConeFamily.LOG):
 class _LogDetW(_DetLift, _LogW, family=ConeFamily.LOGDET):
     def _c(self) -> float:
         return self.v / self.zeta + 1.0
+
+    def _log_sums(self, w, v) -> tuple[float, float]:
+        # log det(W / v) from the ratios L_ii / sqrt(v), of order one: the
+        # difference log det W - d log v cancels, and v times its rounding is
+        # zeta's largest error.  Ratios past the normal range fall back to it
+        root = math.sqrt(v)
+        if (float(np.minimum.reduce(w)) / root >= sys.float_info.min
+                and float(np.maximum.reduce(w)) / root < math.inf):
+            phi = 2.0 * float(np.add.reduce(np.log(w / root)))
+            return phi + w.size * np.log(v), phi
+        return super()._log_sums(w, v)
 
 
 # --------------------------------------------------------------------------
@@ -459,12 +529,13 @@ class _LInfW(BarrierWorkspace, family=ConeFamily.LINF):
 class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
     def _offdiag(self, xt: np.ndarray, inverse: bool) -> np.ndarray:
         # (Xt_ij, Xt_ji) -> (2 / (z_i z_j)) [[u^2, s_i s_j], [s_i s_j, u^2]],
-        # inverted with u^2 - s_i s_j free of cancellation
+        # inverted with 2 (u^2 - s_i s_j) = z_i + z_j + (s_i - s_j)^2, free of
+        # cancellation
         u2, s, zi = self.u * self.u, self.w, self.zi
         ss = s[:, None] * s
         if inverse:
-            gap = 0.5 * (zi[:, None] + zi + (s[:, None] - s)**2)
-            return zi[:, None] * zi * (u2 * xt - ss * xt.T) / (2.0 * gap * (u2 + ss))
+            gap2 = zi[:, None] + zi + (s[:, None] - s)**2
+            return zi[:, None] * zi * (u2 * xt - ss * xt.T) / (gap2 * (u2 + ss))
         return 2.0 * (u2 * xt + ss * xt.T) / (zi[:, None] * zi)
 
     def _complement(self, inverse: bool) -> np.ndarray:

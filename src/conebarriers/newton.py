@@ -18,7 +18,9 @@ solve as ``LEFT_INTERIOR``.  The iterate of least ``lambda`` (the last
 one, if converged), negated, is the conjugate gradient.
 
 ``lambda`` is evaluated from its definition above with the same solve that
-produces the step.  The algebraically equal form
+produces the step: the workspace's ``newton_step`` returns both, the matrix
+families in their frames, where the pairing is a sum over frame blocks and
+the gradient's matrix block is never formed.  The algebraically equal form
 ``sqrt(nu - 2 <w, r> + <r, H^{-1} r>)`` cancels catastrophically once
 ``lambda`` is small (the radicand is a difference of numbers of size
 ``nu``), so it could never reach the default tolerance of 1000 times
@@ -93,15 +95,25 @@ def local_norm_lambda(cone: ConeDescriptor, w: ConePoint, r: ConePoint) -> float
     return math.sqrt(max(rad, 0.0))
 
 
+def _start_scale(cone: ConeDescriptor, wc: np.ndarray, rf: np.ndarray) -> float:
+    """``nu / <w_c, r>``, which scales the packed canonical point ``w_c`` to
+    ``<w0, r> = nu``; at an extreme dual scale it overflows to ``inf``."""
+    return cone.nu / float(np.dot(wc, rf))
+
+
 def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
     """Canonical interior point rescaled so that ``<w0, r> = nu``.
 
     The scaling factor is positive because a primal interior point and a
     dual interior point have positive pairing, and cones are invariant
-    under positive scaling, so the result stays interior.
+    under positive scaling, so the result stays interior.  Where binary64
+    cannot hold the factor, ``NotInteriorError`` is raised.
     """
     wc = pack(cone, canonical_point(cone))
-    return unpack(cone, (cone.nu / float(np.dot(wc, pack(cone, r)))) * wc)
+    scale = _start_scale(cone, wc, pack(cone, r))
+    if not math.isfinite(scale):
+        raise NotInteriorError("the start scale nu / <w_c, r> overflows binary64")
+    return unpack(cone, scale * wc)
 
 
 def generic_conjugate_gradient(
@@ -128,7 +140,7 @@ def generic_conjugate_gradient(
     wf = pack(cone, canonical_point(cone) if w0 is None else w0)
     # the canonical point scales to <w0, r> = nu; at an extreme dual scale
     # the factor overflows, and the solve stops at the unscaled point
-    scale = cone.nu / float(np.dot(wf, rf)) if w0 is None else 1.0
+    scale = _start_scale(cone, wf, rf) if w0 is None else 1.0
     if math.isfinite(scale):
         wf = scale * wf
     # round-off drifts an iterate's matrix block off the symmetric subspace,
@@ -147,9 +159,7 @@ def generic_conjugate_gradient(
         ws = None
     while ws is not None:
         try:
-            grad_obj = ws.gradient() + rf
-            step = ws.inverse_hessian_apply(grad_obj)
-            rad = float(np.dot(grad_obj, step))
+            step, rad = ws.newton_step(rf)
         except ArithmeticError:  # a Python float's square over- or underflows
             rad = math.nan
         if not math.isfinite(rad):

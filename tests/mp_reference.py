@@ -121,3 +121,34 @@ def hessian_action(cone, w, x):
                 return f(y)
             out.append(mp.diff(along, (0, 0), (1, 1)))
         return out
+
+
+def newton_step(cone, w, r, basis):
+    """Newton's step ``H(w)^-1 (g(w) + r)`` for ``<r, w> + f(w)`` and its
+    ``lambda^2 = <g(w) + r, step>`` at 50 digits, with ``g`` and ``H``
+    differentiated from the definition (``mp.diff``) along the packed
+    vectors of ``basis``.  The basis must span a subspace that holds
+    ``g(w) + r`` and that ``H(w)`` maps into itself: the whole space, or the
+    symmetric matrices for logdet and rtdet, whose barrier is defined on
+    them only.  ``w``, ``r`` and the basis are taken exactly; the step is
+    returned as mpf in packed order."""
+    f = barrier(cone)
+    with mp.workdps(50):
+        wm = [mp.mpf(float(a)) for a in w]
+        bm = [[mp.mpf(float(a)) for a in b] for b in basis]
+
+        def at(*terms):
+            return f([wj + mp.fsum(s * b[j] for s, b in terms) for j, wj in enumerate(wm)])
+
+        n = len(bm)
+        x = mp.matrix(n, 1)
+        h = mp.matrix(n, n)
+        for i, bi in enumerate(bm):
+            x[i] = (mp.diff(lambda s: at((s, bi)), 0)
+                    + mp.fsum(mp.mpf(float(rj)) * bij for rj, bij in zip(r, bi)))
+            for j in range(i + 1):
+                h[i, j] = h[j, i] = mp.diff(lambda s, t: at((s, bi), (t, bm[j])),
+                                            (0, 0), (1, 1))
+        c = mp.lu_solve(h, x)
+        step = [mp.fsum(c[i] * bm[i][k] for i in range(n)) for k in range(len(wm))]
+        return step, mp.fsum(x[i] * c[i] for i in range(n)), h

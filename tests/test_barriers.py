@@ -18,7 +18,14 @@ from conebarriers import (
     unpack,
     value,
 )
-from conftest import ALL_FAMILIES, interior_point, random_cone, random_direction
+from conftest import (
+    ALL_FAMILIES,
+    VECTOR_FAMILIES,
+    interior_point,
+    rand_orthogonal,
+    random_cone,
+    random_direction,
+)
 import mp_reference
 
 
@@ -326,3 +333,73 @@ class TestInverseHessian:
         y = ws.inverse_hessian_apply(unpack(cone, x))
         back = pack(cone, ws.hessian_apply(y))
         assert np.linalg.norm(back - x) <= 1e-10
+
+
+def _symmetric_basis(cone):
+    # unit vectors for the scalar blocks, E_ii and E_ij + E_ji for W
+    n, d, off = cone.ambient_dim, cone.d, cone.layout.mat.start
+    basis = list(np.eye(n)[:off])
+    for i in range(d):
+        for j in range(i, d):
+            b = np.zeros(n)
+            b[off + i * d + j] = b[off + j * d + i] = 1.0
+            basis.append(b)
+    return basis
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("family", VECTOR_FAMILIES)
+    def test_vector_families_are_gradient_and_inverse(self, family, rng):
+        # bit for bit the sequence generic Newton ran before the oracle
+        for o in (1e-5, 1e-1):
+            cone = random_cone(family, rng)
+            ws = BarrierWorkspace(cone, pack(cone, interior_point(cone, rng)))
+            r = pack(cone, sample_dual_point(cone, o, rng))
+            step, lam2 = ws.newton_step(r)
+            grad_obj = ws.gradient() + r
+            want = ws.inverse_hessian_apply(grad_obj)
+            assert np.array_equal(step, want)
+            assert lam2 == float(np.dot(grad_obj, want))
+
+    @pytest.mark.parametrize("cone", [
+        ConeDescriptor.logdet(2), ConeDescriptor.logdet(3), ConeDescriptor.rtdet(2),
+        ConeDescriptor.rtdet(3), ConeDescriptor.lspec(2, 2), ConeDescriptor.lspec(2, 3),
+        ConeDescriptor.lspec(3, 5),
+    ], ids=lambda c: f"{c.family.value}-{c.mat_shape[0]}x{c.mat_shape[1]}")
+    def test_matrix_families_match_definition(self, cone, rng):
+        # the frame-basis step and lambda^2 against H^-1 (g + r) at 50 digits
+        # from the barrier's definition, within a few eps times the Hessian's
+        # condition number; the non-square lspec cones reach the complement
+        square = cone.family.value != "lspec"
+        for o in (1e-3, 1e-1):
+            w = pack(cone, interior_point(cone, rng))
+            r = pack(cone, sample_dual_point(cone, o, rng))
+            basis = _symmetric_basis(cone) if square else list(np.eye(cone.ambient_dim))
+            ref, ref_lam2, h = mp_reference.newton_step(cone, w, r, basis)
+            ref = np.array([float(y) for y in ref])
+            tol = 32.0 * np.finfo(float).eps * np.linalg.cond(np.array(h.tolist(), dtype=float))
+            step, lam2 = BarrierWorkspace(cone, w).newton_step(r)
+            assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
+            assert abs(lam2 - float(ref_lam2)) <= tol * float(ref_lam2)
+
+
+def test_logdet_zeta_is_one_rounding_from_its_terms(rng):
+    # zeta = v log det(W / v) - u at scale 1e9 with zeta near 1, where u and
+    # v log det(W / v) cancel: log det(W / v) is summed from ratios of order
+    # one, so zeta's error stays within one rounding of those two terms;
+    # log det W - d log v cancels, and v times its rounding exceeds that
+    from mpmath import mp
+
+    d = 12
+    for _ in range(10):
+        v = float(rng.uniform(1e9, 5e9))
+        q = rand_orthogonal(rng, d)
+        m = (q * (v * np.exp(rng.uniform(0.0, 4.0, d)))) @ q.T
+        m = 0.5 * (m + m.T)
+        with mp.workdps(50):
+            vphi = mp.mpf(v) * (mp.log(mp.det(mp.matrix(m.tolist()))) - d * mp.log(mp.mpf(v)))
+            u = float(vphi - 1)
+            ref = vphi - mp.mpf(u)
+            unit = np.finfo(float).eps * (abs(u) + abs(float(vphi)))
+            ws = BarrierWorkspace(ConeDescriptor.logdet(d), ConePoint(epi=u, persp=v, mat=m))
+            assert abs(float(ws.zeta - ref)) <= unit

@@ -22,11 +22,51 @@ from conebarriers import (
     unpack,
 )
 from conebarriers import experiment, newton
+from conebarriers.cones import canonical_point
 from conftest import ALL_FAMILIES, interior_point, random_cone
 
 
 def neg(cone, point):
     return unpack(cone, -pack(cone, point))
+
+
+def _count_decompositions(monkeypatch, *counted):
+    """Counts the calls to numpy's ``counted`` decompositions, each as
+    whether it ran inside generic Newton's dual membership test, and the
+    workspace builds (key ``builds``); numpy's other decompositions and
+    ``inv`` raise.  numpy's bindings are patched, so no route through the
+    package escapes."""
+    calls = {name: [] for name in (*counted, "builds")}
+    inside = []
+
+    def counter(name, fn):
+        def counted_call(*args, **kwargs):
+            calls[name].append(bool(inside))
+            return fn(*args, **kwargs)
+        return counted_call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"decomposition or inverse other than {counted}")
+
+    for name in ("eigh", "eigvalsh", "svd", "cholesky", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, counter(name, fn) if name in counted else refuse)
+    build, membership = BarrierWorkspace.__init__, newton.dual_in_interior
+
+    def counted_build(ws, *args):
+        calls["builds"].append(None)
+        build(ws, *args)
+
+    def flagged_membership(*args):
+        inside.append(None)
+        try:
+            return membership(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BarrierWorkspace, "__init__", counted_build)
+    monkeypatch.setattr(newton, "dual_in_interior", flagged_membership)
+    return calls
 
 
 class TestLocalNorm:
@@ -83,6 +123,24 @@ class TestInitialPoint:
             w0 = default_initial_point(cone, r)
             assert in_interior(cone, w0)
             assert inner(cone, w0, r) == pytest.approx(cone.nu, rel=1e-12)
+
+    @pytest.mark.parametrize("family, t", [("linf", 1e-320), ("hgeom", 1e-310)])
+    def test_scale_past_binary64_is_not_interior(self, family, t):
+        # nu / <w_c, r> overflows at these interior dual points; the scaled
+        # point would hold inf (and NaN where w_c is 0), so the start raises,
+        # and generic Newton, which shares the scale, stops at the unscaled
+        # canonical point
+        cone = ConeDescriptor(ConeFamily(family), d=3)
+        base = (np.array([2.0, 0.3, 0.5, 0.7]) if family == "linf"
+                else pack(cone, sample_dual_point(cone, 0.1, np.random.default_rng(3))))
+        r = unpack(cone, t * base)
+        assert newton.dual_in_interior(cone, r)
+        with pytest.raises(NotInteriorError):
+            default_initial_point(cone, r)
+        res, trace = generic_conjugate_gradient(cone, r)
+        assert trace.status is NewtonStatus.LEFT_INTERIOR
+        assert trace.iterations == 0
+        assert np.array_equal(pack(cone, res.g_star), -pack(cone, canonical_point(cone)))
 
 
 class TestGenericSolver:
@@ -243,49 +301,31 @@ class TestGenericSolver:
     @pytest.mark.parametrize("family", ["logdet", "rtdet"])
     def test_determinant_workspaces_decompose_no_iterate(self, family, rng, monkeypatch):
         # the dual membership test decomposes r once; every workspace build
-        # after it factors W once, and no iterate is decomposed.  numpy's
-        # bindings are counted, so no route through the package escapes
-        eigh, factor, build = np.linalg.eigh, np.linalg.cholesky, BarrierWorkspace.__init__
-        membership = newton.dual_in_interior
-        eighs, orders, builds, inside = [], [], [], []
-
-        def counted_eigh(a, *args, **kwargs):
-            eighs.append(bool(inside))
-            return eigh(a, *args, **kwargs)
-
-        def counted_factor(a, *args, **kwargs):
-            orders.append(len(a))
-            return factor(a, *args, **kwargs)
-
-        def counted_build(ws, *args):
-            builds.append(None)
-            build(ws, *args)
-
-        def flagged_membership(*args):
-            inside.append(None)
-            try:
-                return membership(*args)
-            finally:
-                inside.pop()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("decomposition other than one eigh")
-
-        monkeypatch.setattr("numpy.linalg.eigh", counted_eigh)
-        monkeypatch.setattr("numpy.linalg.eigvalsh", refuse)
-        monkeypatch.setattr("numpy.linalg.svd", refuse)
-        monkeypatch.setattr("numpy.linalg.cholesky", counted_factor)
-        monkeypatch.setattr(BarrierWorkspace, "__init__", counted_build)
-        monkeypatch.setattr(newton, "dual_in_interior", flagged_membership)
+        # after it factors W once, no iterate is decomposed and no W^-1 is
+        # formed: the Newton step runs in the factor's frame
+        calls = _count_decompositions(monkeypatch, "cholesky", "eigh")
         for o in (1e-5, 1e-1):
             cone = random_cone(family, rng)
             r = sample_dual_point(cone, o, rng)
-            for calls in (eighs, orders, builds):
-                calls.clear()
+            for seen in calls.values():
+                seen.clear()
             _, trace = generic_conjugate_gradient(cone, r)
-            assert eighs == [True]
-            assert len(builds) > trace.iterations > 0
-            assert orders == [cone.d] * len(builds)
+            assert calls["eigh"] == [True]
+            assert len(calls["builds"]) > trace.iterations > 0
+            assert calls["cholesky"] == [False] * len(calls["builds"])
+
+    def test_singular_workspaces_decompose_each_build_once(self, rng, monkeypatch):
+        # lspec's twin: one SVD for the dual membership test and one per
+        # workspace build, and no other decomposition or inverse
+        calls = _count_decompositions(monkeypatch, "svd")
+        for o in (1e-5, 1e-1):
+            cone = random_cone("lspec", rng)
+            r = sample_dual_point(cone, o, rng)
+            for seen in calls.values():
+                seen.clear()
+            _, trace = generic_conjugate_gradient(cone, r)
+            assert len(calls["builds"]) > trace.iterations > 0
+            assert calls["svd"] == [True] + [False] * len(calls["builds"])
 
     @pytest.mark.parametrize("family", ["logdet", "rtdet", "lspec"])
     def test_matrix_cones_supported(self, family, rng):
