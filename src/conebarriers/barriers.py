@@ -7,12 +7,11 @@ an SVD).  Workspaces are valid only for the point they were built at.  A
 workspace builds only at an interior point; :func:`in_interior` is that
 check.
 
-Workspaces work in packed coordinates (see :class:`~.cones.PackedLayout`):
-the base class splits packed float64 vectors into blocks, the family code
-maps blocks to blocks, and the base class joins the result.
-:class:`ConePoint` is converted only at the API edge, in the base class: a
-workspace built from a ``ConePoint``, or an oracle called with one, returns
-``ConePoint`` results.
+Workspaces take and return packed float64 vectors only (see
+:class:`~.cones.PackedLayout`): the base class splits them into blocks, the
+family code maps blocks to blocks, and the base class joins the result.
+:class:`ConePoint` is converted only at the API edge, in the module-level
+functions, which pack their arguments and unpack their results.
 
 A matrix family's workspace is its vector family's with a lift mixin,
 which writes its inverse Hessian once, in its frames, for both
@@ -91,14 +90,13 @@ class BarrierWorkspace:
             for fam in families:
                 BarrierWorkspace._registry[fam] = cls
 
-    def __new__(cls, cone: ConeDescriptor, point: ConePoint | np.ndarray):
+    def __new__(cls, cone: ConeDescriptor, x: np.ndarray):
         if cls is BarrierWorkspace:
             cls = BarrierWorkspace._registry[cone.family]
         return object.__new__(cls)
 
-    def __init__(self, cone: ConeDescriptor, point: ConePoint | np.ndarray):
-        self._as_points = isinstance(point, ConePoint)
-        x = pack(cone, point) if self._as_points else np.array(check_packed(cone, point))
+    def __init__(self, cone: ConeDescriptor, x: np.ndarray):
+        x = np.array(check_packed(cone, x))
         x.flags.writeable = False
         self.cone = cone
         self.layout = cone.layout
@@ -112,8 +110,7 @@ class BarrierWorkspace:
     # subclasses implement _prepare(epi, persp, w) (w what _spectrum makes
     # of the block, None if not interior), which returns whether the point
     # is interior, value, _grad_parts, and _hessian and _inverse_hessian,
-    # which map the blocks (xu, xv, xw) to (yu, yv, yw); the public oracles
-    # below are the ConePoint edge
+    # which map the blocks (xu, xv, xw) to (yu, yv, yw)
 
     def _spectrum(self, block: np.ndarray) -> np.ndarray:
         return block
@@ -124,37 +121,24 @@ class BarrierWorkspace:
     def _lift(self, g: np.ndarray) -> np.ndarray:
         return g
 
-    def _gradient(self) -> np.ndarray:
-        gu, gv, gw = self._grad_parts()
-        g = self._lift(gw)
-        # join writes only the block the layout has
-        return self.layout.join(gu, gv, vec=g, mat=g)
-
-    @property
-    def point(self) -> ConePoint:
-        """The evaluation point as a new :class:`ConePoint`."""
-        return unpack(self.cone, self.x)
-
-    def _packed(self, op, x: np.ndarray) -> np.ndarray:
-        xu, xv, xvec, xmat = self.layout.blocks(x)
+    def _apply(self, op, x: np.ndarray) -> np.ndarray:
+        xu, xv, xvec, xmat = self.layout.blocks(check_packed(self.cone, x))
         yu, yv, yb = op(xu, xv, xvec if xmat is None else xmat)
         return self.layout.join(yu, yv, vec=yb, mat=yb)
 
-    def _apply(self, op, x):
-        as_point = isinstance(x, ConePoint)
-        y = self._packed(op, pack(self.cone, x) if as_point else check_packed(self.cone, x))
-        return unpack(self.cone, y) if as_point or self._as_points else y
-
-    def gradient(self):
+    def gradient(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = self._gradient()
+            gu, gv, gw = self._grad_parts()
+            g = self._lift(gw)
+            # join writes only the block the layout has
+            self._grad = self.layout.join(gu, gv, vec=g, mat=g)
             self._grad.flags.writeable = False
-        return unpack(self.cone, self._grad) if self._as_points else self._grad
+        return self._grad
 
-    def hessian_apply(self, x):
+    def hessian_apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self._hessian, x)
 
-    def inverse_hessian_apply(self, x):
+    def inverse_hessian_apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self._inverse_hessian, x)
 
     def newton_step(self, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -168,7 +152,7 @@ class BarrierWorkspace:
     def hessian_dense(self) -> np.ndarray:
         """The Hessian in packed coordinates, assembled column by column
         from the action (a test oracle)."""
-        cols = [self._packed(self._hessian, e) for e in np.eye(self.layout.size)]
+        cols = [self._apply(self._hessian, e) for e in np.eye(self.layout.size)]
         return np.stack(cols, axis=1)
 
 
@@ -547,6 +531,10 @@ class _LSpecW(_SingularLift, _LInfW, family=ConeFamily.LSPEC):
 # module-level wrappers
 # --------------------------------------------------------------------------
 
+def _workspace(cone: ConeDescriptor, point: ConePoint) -> BarrierWorkspace:
+    return BarrierWorkspace(cone, pack(cone, point))
+
+
 def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     """Strict membership in the open primal cone: whether the barrier
     workspace builds at ``point``.
@@ -555,7 +543,7 @@ def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
     non-symmetric matrix block raises ``ValueError``.
     """
     try:
-        BarrierWorkspace(cone, point)
+        _workspace(cone, point)
     except NotInteriorError:
         return False
     return True
@@ -563,24 +551,24 @@ def in_interior(cone: ConeDescriptor, point: ConePoint) -> bool:
 
 def value(cone: ConeDescriptor, point: ConePoint) -> float:
     """Barrier value ``f(point)``; raises away from the interior."""
-    return BarrierWorkspace(cone, point).value()
+    return _workspace(cone, point).value()
 
 
 def gradient(cone: ConeDescriptor, point: ConePoint) -> ConePoint:
     """Barrier gradient ``g(point)``."""
-    return BarrierWorkspace(cone, point).gradient()
+    return unpack(cone, _workspace(cone, point).gradient())
 
 
 def hessian_apply(cone: ConeDescriptor, point: ConePoint, x: ConePoint) -> ConePoint:
     """Hessian action ``H(point) x`` (exact, not finite differenced)."""
-    return BarrierWorkspace(cone, point).hessian_apply(x)
+    return unpack(cone, _workspace(cone, point).hessian_apply(pack(cone, x)))
 
 
 def inverse_hessian_apply(cone: ConeDescriptor, point: ConePoint, x: ConePoint) -> ConePoint:
     """Inverse Hessian action ``H(point)^{-1} x``."""
-    return BarrierWorkspace(cone, point).inverse_hessian_apply(x)
+    return unpack(cone, _workspace(cone, point).inverse_hessian_apply(pack(cone, x)))
 
 
 def hessian_dense(cone: ConeDescriptor, point: ConePoint) -> np.ndarray:
     """Dense Hessian in packed ambient coordinates (a test oracle)."""
-    return BarrierWorkspace(cone, point).hessian_dense()
+    return _workspace(cone, point).hessian_dense()

@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generic-method tolerance "
                              "(default 1000 * machine epsilon)")
     parser.add_argument("--format", choices=("csv", "markdown"),
-                        default=default.fmt, help="output format (default %(default)s)")
+                        default="csv", help="output format (default %(default)s)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the table to FILE instead of stdout")
     return parser
@@ -71,12 +71,11 @@ def main(argv=None) -> int:
             trials=args.trials,
             seed=args.seed,
             eps=args.eps,
-            fmt=args.format,
         )
     except ValueError as exc:
         parser.error(str(exc))
     stats = run_grid(config)
-    text = render_table(stats, config.fmt)
+    text = render_table(stats, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -35,7 +35,7 @@ cells run and byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 42
     eps: float = DEFAULT_EPS
-    fmt: str = "csv"
 
     def __post_init__(self):
         if not (self.cones and self.dims and self.offsets):
@@ -97,8 +96,6 @@ class ExperimentConfig:
             raise ValueError("seed must be an integer >= 0")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be finite and positive; got {self.eps!r}")
-        if self.fmt not in ("csv", "markdown"):
-            raise ValueError("format must be 'csv' or 'markdown'")
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,6 @@ class SymEigen:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 @dataclass(frozen=True)
 class Svd:
@@ -59,9 +56,6 @@ class Svd:
     sigma: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
 
 def check_symmetric(a: np.ndarray, caller: str) -> np.ndarray:
     """``a`` as floats if finite, square and symmetric, else ``ValueError``."""
@@ -72,10 +66,11 @@ def check_symmetric(a: np.ndarray, caller: str) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{caller}: matrix is not finite")
     # an exactly symmetric matrix, as generic Newton's iterates are, passes
-    # the tolerance test without its two norms
+    # the tolerance test without its two norms; the test is relative at
+    # every scale, since a skew part of absolute size below 1e-13 is no
+    # rounding error in a matrix of size 1e-14
     if not np.logical_and.reduce(a == a.T, axis=None):
-        scale = np.linalg.norm(a)
-        if np.linalg.norm(a - a.T) > _SYM_TOL * max(scale, 1.0):
+        if np.linalg.norm(a - a.T) > _SYM_TOL * np.linalg.norm(a):
             raise ValueError(f"{caller}: matrix is not symmetric")
     return a
 

@@ -21,10 +21,10 @@ one, if converged), negated, is the conjugate gradient.
 produces the step: the workspace's ``newton_step`` returns both, the matrix
 families in their frames, where the pairing is a sum over frame blocks and
 the gradient's matrix block is never formed.  The algebraically equal form
-``sqrt(nu - 2 <w, r> + <r, H^{-1} r>)`` cancels catastrophically once
-``lambda`` is small (the radicand is a difference of numbers of size
-``nu``), so it could never reach the default tolerance of 1000 times
-machine epsilon; it is exposed separately as :func:`local_norm_lambda`.
+``sqrt(nu - 2 <w, r> + <r, H^{-1} r>)`` is not used: it cancels
+catastrophically once ``lambda`` is small (the radicand is a difference of
+numbers of size ``nu``), so it could never reach the default tolerance of
+1000 times machine epsilon.
 
 The iteration works in packed coordinates end to end: iterates, steps and
 workspaces (``BarrierWorkspace(cone, x)`` on a packed vector) are float64
@@ -59,7 +59,6 @@ __all__ = [
     "NewtonTrace",
     "DAMPED_THRESHOLD",
     "DEFAULT_EPS",
-    "local_norm_lambda",
     "default_initial_point",
     "generic_conjugate_gradient",
 ]
@@ -82,17 +81,6 @@ class NewtonTrace:
     iterations: int
     lambdas: list[float]
     status: NewtonStatus
-
-
-def local_norm_lambda(cone: ConeDescriptor, w: ConePoint, r: ConePoint) -> float:
-    """Local norm of the objective gradient via the simplified radicand
-    ``nu - 2 <w, r> + <r, H(w)^{-1} r>``, clamped at zero against round-off.
-    """
-    rf = pack(cone, r)
-    wf = pack(cone, w)
-    hinv_r = BarrierWorkspace(cone, wf).inverse_hessian_apply(rf)
-    rad = cone.nu - 2.0 * float(np.dot(wf, rf)) + float(np.dot(rf, hinv_r))
-    return math.sqrt(max(rad, 0.0))
 
 
 def _start_scale(cone: ConeDescriptor, wc: np.ndarray, rf: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "wright_omega",
-    "StopRule",
     "RootResult",
     "newton_raphson",
 ]
@@ -62,23 +61,16 @@ def wright_omega(beta: float) -> float:
 # Guarded Newton-Raphson
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StopRule:
-    """Deterministic stopping rule for :func:`newton_raphson`.
-
-    ``abs_h=None`` resolves to ``1e3 * eps * (1 + |h(y0)|)`` so the residual
-    test adapts to the scale of the function at the start point.  The
-    residual test alone can fire while the root still carries significant
-    error when ``h`` is nearly flat (its value becomes small long before the
-    iterate settles), so it only counts as converged once the impending
-    Newton correction ``|h/h'|`` is below ``root_rtol`` relative to the
-    iterate; a sufficiently small accepted step always stops.
-    """
-
-    abs_h: float | None = None
-    rel_step: float = 4.0 * _EPS
-    root_rtol: float = 1e-9
-    max_iter: int = 64
+# newton_raphson's stop rule.  The residual test ``|h| <= 1e3 eps (1 +
+# |h(y0)|)`` adapts to the scale of the function at the start point.  It
+# alone can fire while the root still carries significant error when ``h``
+# is nearly flat (its value becomes small long before the iterate settles),
+# so it only counts as converged once the impending Newton correction
+# ``|h/h'|`` is below ``_ROOT_RTOL`` relative to the iterate; an accepted
+# step ``|dy| <= _REL_STEP (1 + |y|)`` always stops.
+_REL_STEP = 4.0 * _EPS
+_ROOT_RTOL = 1e-9
+_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -89,39 +81,36 @@ class RootResult:
     residual: float
 
 
-def newton_raphson(h_and_deriv, y0, stop: StopRule = StopRule()) -> RootResult:
+def newton_raphson(h_and_deriv, y0) -> RootResult:
     """Newton-Raphson iteration ``y <- y - h(y)/h'(y)`` with explicit stopping.
 
-    Stops successfully when ``|h| <= abs_h`` or the last step satisfied
-    ``|dy| <= rel_step * (1 + |y|)``; reports ``converged=False`` when the
-    derivative vanishes or the iteration cap is hit.  ``iterations`` counts
-    accepted steps, so a start point that already satisfies the residual
-    test reports zero.
+    Stops successfully on the residual test or a small step (the stop rule
+    above); reports ``converged=False`` when the derivative vanishes or
+    after ``_MAX_ITER`` steps.  ``iterations`` counts accepted steps, so a
+    start point that already satisfies the residual test reports zero.
 
     The callback maps a float ``y`` to the float pair ``(h(y), h'(y))``.
     """
     y = float(y0)
     h, hp = h_and_deriv(y)
-    abs_h = stop.abs_h
-    if abs_h is None:
-        abs_h = 1e3 * _EPS * (1.0 + abs(h))
+    abs_h = 1e3 * _EPS * (1.0 + abs(h))
 
     def residual_stop(h, hp, y):
         if abs(h) > abs_h:
             return False
         if hp == 0.0:
             return True
-        return abs(h / hp) <= max(stop.root_rtol * abs(y),
-                                  stop.rel_step * (1.0 + abs(y)))
+        return abs(h / hp) <= max(_ROOT_RTOL * abs(y),
+                                  _REL_STEP * (1.0 + abs(y)))
 
     if residual_stop(h, hp, y):
         return RootResult(y, 0, True, abs(h))
-    for k in range(1, stop.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         if hp == 0.0:
             return RootResult(y, k - 1, False, abs(h))
         step = h / hp
         y = y - step
         h, hp = h_and_deriv(y)
-        if residual_stop(h, hp, y) or abs(step) <= stop.rel_step * (1.0 + abs(y)):
+        if residual_stop(h, hp, y) or abs(step) <= _REL_STEP * (1.0 + abs(y)):
             return RootResult(y, k, True, abs(h))
-    return RootResult(y, stop.max_iter, False, abs(h))
+    return RootResult(y, _MAX_ITER, False, abs(h))

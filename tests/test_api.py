@@ -4,11 +4,11 @@ PUBLIC = {
     "BarrierWorkspace", "ConeDescriptor", "ConeFamily", "ConePoint",
     "ConjugateResult", "DAMPED_THRESHOLD", "DEFAULT_EPS", "ExperimentConfig",
     "IterationStats", "NewtonStatus", "NewtonTrace", "NonPositiveDefiniteError",
-    "NotInteriorError", "PowerParams", "RootResult", "StopRule", "Svd", "SymEigen",
+    "NotInteriorError", "PowerParams", "RootResult", "Svd", "SymEigen",
     "barrier_parameter", "cholesky_solve", "conjugate_gradient", "conjugate_value",
     "default_initial_point", "dual_in_interior", "generic_conjugate_gradient",
     "gradient", "hessian_apply", "hessian_dense", "in_interior", "inner",
-    "inverse_hessian_apply", "lemma_h", "local_norm_lambda", "newton_raphson",
+    "inverse_hessian_apply", "lemma_h", "newton_raphson",
     "pack", "render_table", "residual", "run_grid", "sample_dual_point", "svd",
     "sym_eigen", "unpack", "value", "wright_omega",
 }
@@ -17,7 +17,7 @@ PUBLIC = {
 def test_public_names_are_pinned():
     # the package republishes its modules' __all__ lists; a name added to or
     # dropped from one of them changes the public API
-    assert len(conebarriers.__all__) == len(PUBLIC) == 44
+    assert len(conebarriers.__all__) == len(PUBLIC) == 42
     assert set(conebarriers.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(conebarriers, name)

@@ -137,11 +137,11 @@ class TestHessian:
     def test_symmetric_and_positive(self, family, rng):
         for _ in range(30):
             cone = random_cone(family, rng)
-            ws = BarrierWorkspace(cone, interior_point(cone, rng))
+            ws = BarrierWorkspace(cone, pack(cone, interior_point(cone, rng)))
             x = random_direction(cone, rng)
             y = random_direction(cone, rng)
-            hx = pack(cone, ws.hessian_apply(unpack(cone, x)))
-            hy = pack(cone, ws.hessian_apply(unpack(cone, y)))
+            hx = ws.hessian_apply(x)
+            hy = ws.hessian_apply(y)
             assert float(np.dot(y, hx)) == pytest.approx(float(np.dot(x, hy)),
                                                          rel=1e-9, abs=1e-9)
             assert float(np.dot(x, hx)) > 0.0
@@ -222,29 +222,21 @@ class TestHessian:
 class TestPackedWorkspace:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_packed_matches_cone_point(self, family, rng):
-        # one code path: the ConePoint edge only packs and unpacks
+        # one code path: the ConePoint functions only pack and unpack
         for _ in range(10):
             cone = random_cone(family, rng)
             w = interior_point(cone, rng)
-            ws_point = BarrierWorkspace(cone, w)
-            ws_packed = BarrierWorkspace(cone, pack(cone, w))
-            assert ws_packed.value() == ws_point.value()
-            np.testing.assert_array_equal(ws_packed.gradient(),
-                                          pack(cone, ws_point.gradient()))
+            ws = BarrierWorkspace(cone, pack(cone, w))
+            assert value(cone, w) == ws.value()
+            np.testing.assert_array_equal(pack(cone, gradient(cone, w)), ws.gradient())
             x = random_direction(cone, rng)
-            for oracle in ("hessian_apply", "inverse_hessian_apply"):
-                packed = getattr(ws_packed, oracle)(x)
+            for oracle in (hessian_apply, inverse_hessian_apply):
+                packed = getattr(ws, oracle.__name__)(x)
                 assert isinstance(packed, np.ndarray)
-                np.testing.assert_array_equal(
-                    packed, pack(cone, getattr(ws_point, oracle)(unpack(cone, x))))
-            # the dense Hessian is packed either way
-            dense = ws_point.hessian_dense()
-            assert isinstance(dense, np.ndarray)
+                np.testing.assert_array_equal(packed, pack(cone, oracle(cone, w, unpack(cone, x))))
+            dense = hessian_dense(cone, w)
             assert dense.shape == (cone.ambient_dim, cone.ambient_dim)
-            np.testing.assert_array_equal(dense, ws_packed.hessian_dense())
-            # a ConePoint on either side makes the result a ConePoint
-            assert isinstance(ws_point.hessian_apply(x), ConePoint)
-            assert isinstance(ws_packed.hessian_apply(unpack(cone, x)), ConePoint)
+            np.testing.assert_array_equal(dense, ws.hessian_dense())
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_packed_input_checks(self, family, rng):
@@ -265,20 +257,18 @@ class TestInverseHessian:
     def test_inverse_composition_identity(self, family, rng):
         for _ in range(30):
             cone = random_cone(family, rng)
-            ws = BarrierWorkspace(cone, interior_point(cone, rng))
+            ws = BarrierWorkspace(cone, pack(cone, interior_point(cone, rng)))
             x = random_direction(cone, rng)
-            y = ws.inverse_hessian_apply(unpack(cone, x))
-            back = pack(cone, ws.hessian_apply(y))
+            back = ws.hessian_apply(ws.inverse_hessian_apply(x))
             assert np.linalg.norm(back - x) <= 1e-9
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_inverse_on_negative_gradient_gives_point(self, family, rng):
         for _ in range(20):
             cone = random_cone(family, rng)
-            ws = BarrierWorkspace(cone, interior_point(cone, rng))
-            g = ws.gradient()
-            back = pack(cone, ws.inverse_hessian_apply(unpack(cone, -pack(cone, g))))
-            wf = pack(cone, ws.point)
+            wf = pack(cone, interior_point(cone, rng))
+            ws = BarrierWorkspace(cone, wf)
+            back = ws.inverse_hessian_apply(-ws.gradient())
             assert np.linalg.norm(back - wf) <= 1e-9 * (1 + np.linalg.norm(wf))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -291,13 +281,13 @@ class TestInverseHessian:
                 d1 = int(rng.integers(1, 5))
                 cone = ConeDescriptor.lspec(d1, d1 + int(rng.integers(1, 5)))
             w = interior_point(cone, rng)
-            ws = BarrierWorkspace(cone, w)
+            ws = BarrierWorkspace(cone, pack(cone, w))
             x = random_direction(cone, rng)
             if i % 2 and cone.mat_shape is not None:
                 # the matrix-family Hessians act on the full matrix space,
                 # so the closed forms must hold off the symmetric subspace
                 x = rng.standard_normal(cone.ambient_dim)
-            closed = pack(cone, ws.inverse_hessian_apply(unpack(cone, x)))
+            closed = ws.inverse_hessian_apply(x)
             dense = cholesky_solve(hessian_dense(cone, w), x)
             assert np.linalg.norm(closed - dense) <= 1e-10 * (1 + np.linalg.norm(dense))
 
@@ -327,11 +317,9 @@ class TestInverseHessian:
     def test_rpower_zero_radial_block(self, rng):
         # u = 0 is interior; the formulas must not hit 0/0
         cone = ConeDescriptor.rpower(2, np.array([0.3, 0.7]))
-        w = ConePoint(epi=np.zeros(2), vec=np.array([1.5, 0.8]))
-        ws = BarrierWorkspace(cone, w)
+        ws = BarrierWorkspace(cone, pack(cone, ConePoint(epi=np.zeros(2), vec=np.array([1.5, 0.8]))))
         x = random_direction(cone, rng)
-        y = ws.inverse_hessian_apply(unpack(cone, x))
-        back = pack(cone, ws.hessian_apply(y))
+        back = ws.hessian_apply(ws.inverse_hessian_apply(x))
         assert np.linalg.norm(back - x) <= 1e-10
 
 
@@ -401,5 +389,6 @@ def test_logdet_zeta_is_one_rounding_from_its_terms(rng):
             u = float(vphi - 1)
             ref = vphi - mp.mpf(u)
             unit = np.finfo(float).eps * (abs(u) + abs(float(vphi)))
-            ws = BarrierWorkspace(ConeDescriptor.logdet(d), ConePoint(epi=u, persp=v, mat=m))
+            cone = ConeDescriptor.logdet(d)
+            ws = BarrierWorkspace(cone, pack(cone, ConePoint(epi=u, persp=v, mat=m)))
             assert abs(float(ws.zeta - ref)) <= unit

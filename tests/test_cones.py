@@ -248,7 +248,7 @@ class TestMembership:
             for x in edge + np.spacing(edge) * np.arange(-8, 9):
                 pt = ConePoint(epi=x * direction, persp=w.persp, vec=w.vec, mat=w.mat)
                 try:
-                    BarrierWorkspace(cone, pt)
+                    BarrierWorkspace(cone, pack(cone, pt))
                     builds = True
                 except NotInteriorError:
                     builds = False

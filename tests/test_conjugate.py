@@ -8,7 +8,6 @@ from conebarriers import (
     ConeDescriptor,
     ConePoint,
     NotInteriorError,
-    StopRule,
     conjugate_gradient,
     conjugate_value,
     dual_in_interior,
@@ -398,8 +397,8 @@ class TestLemmaH:
 
         roots = []
 
-        def spy(fn, y0, stop=StopRule()):
-            res = newton_raphson(fn, y0, stop)
+        def spy(fn, y0):
+            res = newton_raphson(fn, y0)
             roots.append(res)
             return res
 
@@ -805,7 +804,7 @@ class TestValidation:
                                            ("linf", 2.0**-600), ("lspec", 1e-200)])
     def test_norm_root_past_binary64_raises_typed(self, family, t):
         # at t r, h's root is about -(d + 1) / p and its square overflows:
-        # g* and f* end as NotInteriorError until ROADMAP item 5 normalizes
+        # g* and f* end as NotInteriorError until ROADMAP item 7 normalizes
         # the scale; at t = 1e-150 both evaluate and g* scales as 1 / t
         if family == "linf":
             cone, r = ConeDescriptor.linf(3), ConePoint(epi=2.0, vec=np.array([0.3, 0.5, 0.7]))

@@ -155,7 +155,7 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentConfig(cones=("nosuchcone",))
         with pytest.raises(ValueError):
-            ExperimentConfig(fmt="tsv")
+            render_table(TestRendering._stats(), "tsv")
         for grid in (dict(cones=()), dict(dims=()), dict(offsets=()),
                      dict(dims=(0,)), dict(dims=(4, -1)), dict(dims=(2.5,))):
             with pytest.raises(ValueError):
@@ -215,7 +215,8 @@ class TestRunGrid:
 
 
 class TestRendering:
-    def _stats(self):
+    @staticmethod
+    def _stats():
         return [IterationStats(cone="linf", d=4, o=1e-2, trials=3,
                                mean_iters_generic=12.3456,
                                mean_iters_specialized=3.21,

@@ -8,10 +8,14 @@ import pytest
 
 import conebarriers
 from conebarriers import (
+    ConeDescriptor,
+    ConePoint,
     NonPositiveDefiniteError,
     cholesky_solve,
+    conjugate_gradient,
     svd,
     sym_eigen,
+    value,
 )
 from conftest import rand_orthogonal
 
@@ -39,7 +43,7 @@ class TestSymEigen:
             a = 0.5 * (a + a.T)
             e = sym_eigen(a)
             scale = max(np.linalg.norm(a), 1.0)
-            assert np.linalg.norm(e.reconstruct() - a) <= 1e-12 * scale
+            assert np.linalg.norm((e.vectors * e.values) @ e.vectors.T - a) <= 1e-12 * scale
             assert np.linalg.norm(e.vectors.T @ e.vectors - np.eye(n)) <= 1e-12
 
     def test_recovers_known_spectrum(self, rng):
@@ -57,7 +61,7 @@ class TestSymEigen:
 
     def test_symmetry_tolerance_around_exact_symmetry(self, rng):
         # an exactly symmetric matrix passes without the tolerance test's
-        # norms; off it, the tolerance 1e-13 * max(|A|, 1) still decides
+        # norms; off it, the tolerance 1e-13 * |A| still decides
         a = rng.standard_normal((6, 6))
         a = 0.5 * (a + a.T)
         values, vectors = np.linalg.eigh(a)
@@ -72,6 +76,25 @@ class TestSymEigen:
             else:
                 with pytest.raises(ValueError, match="not symmetric"):
                     sym_eigen(b)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+    def test_skew_rejected_at_every_scale(self, scale):
+        # the tolerance is relative: at scale 1e-14 a skew part of 45% of
+        # the matrix is no rounding error, and accepting it would let the
+        # primal barrier and the dual g* read different values at A and A^T
+        a = scale * np.array([[1.0, 0.9], [0.0, 1.0]])
+        primal, dual = ConeDescriptor.logdet(2), ConeDescriptor.rtdet(2)
+        for m in (a, a.T):
+            with pytest.raises(ValueError, match="not symmetric"):
+                value(primal, ConePoint(epi=-1000.0, persp=1.0, mat=m))
+            with pytest.raises(ValueError, match="not symmetric"):
+                conjugate_gradient(dual, ConePoint(epi=-1e-15, mat=m))
+            with pytest.raises(ValueError, match="not symmetric"):
+                sym_eigen(m)
+        # a rounding-sized skew part still passes at every scale
+        b = scale * np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+        np.testing.assert_allclose(sym_eigen(b).values, scale * np.array([1.5, 0.5]),
+                                   rtol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, bad):
@@ -105,7 +128,7 @@ class TestSvd:
             a = rng.standard_normal((d1, d2))
             s = svd(a)
             scale = max(np.linalg.norm(a), 1.0)
-            assert np.linalg.norm(s.reconstruct() - a) <= 1e-12 * scale
+            assert np.linalg.norm((s.U * s.sigma) @ s.V.T - a) <= 1e-12 * scale
             assert np.linalg.norm(s.U.T @ s.U - np.eye(d1)) <= 1e-12
             assert np.linalg.norm(s.V.T @ s.V - np.eye(d1)) <= 1e-12
             assert np.all(np.diff(s.sigma) <= 0) and np.all(s.sigma >= 0)

@@ -12,11 +12,11 @@ from conebarriers import (
     NotInteriorError,
     conjugate_gradient,
     default_initial_point,
+    dual_in_interior,
     generic_conjugate_gradient,
     gradient,
     in_interior,
     inner,
-    local_norm_lambda,
     pack,
     sample_dual_point,
     unpack,
@@ -70,13 +70,20 @@ def _count_decompositions(monkeypatch, *counted):
 
 
 class TestLocalNorm:
+    """The local norm the solver reads: ``lambda^2`` from the workspace's
+    ``newton_step``, on packed vectors."""
+
+    @staticmethod
+    def lam(cone, w, r):
+        _, lam2 = BarrierWorkspace(cone, pack(cone, w)).newton_step(pack(cone, r))
+        return np.sqrt(max(lam2, 0.0))
+
     def test_zero_at_matched_gradient(self, rng):
-        # r = -g(w) makes w the exact minimizer; the simplified radicand is
-        # nu - 2 nu + nu up to round-off
+        # r = -g(w) makes w the exact minimizer
         cone = ConeDescriptor.hgeom(3)
         w = interior_point(cone, rng)
         r = neg(cone, gradient(cone, w))
-        assert local_norm_lambda(cone, w, r) <= 1e-6
+        assert self.lam(cone, w, r) <= 1e-6
 
     def test_positive_off_minimizer(self, rng):
         cone = ConeDescriptor.hgeom(3)
@@ -85,26 +92,26 @@ class TestLocalNorm:
         # rescale r so <w, r> = nu while r != -g(w): lambda must be positive
         r = unpack(cone, pack(cone, r) * (cone.nu / inner(cone, w, r)))
         assert inner(cone, w, r) == pytest.approx(cone.nu, rel=1e-12)
-        assert local_norm_lambda(cone, w, r) > 1e-3
+        assert self.lam(cone, w, r) > 1e-3
 
     def test_simplified_matches_definition(self, rng):
-        # at moderate lambda the two radicand forms agree
+        # at moderate lambda the definition agrees with the simplified
+        # radicand nu - 2 <w, r> + <r, H^-1 r>, which the solver does not
+        # use because it cancels once lambda is small
         cone = ConeDescriptor.hgeom(2)
-        w = ConePoint(epi=0.0, vec=np.array([1.0, 1.0]))
-        r = ConePoint(epi=-1.0, vec=np.array([1.0, 1.0]))
+        w = np.array([0.0, 1.0, 1.0])
+        r = np.array([-1.0, 1.0, 1.0])
         ws = BarrierWorkspace(cone, w)
-        grad_obj = pack(cone, ws.gradient()) + pack(cone, r)
-        step = pack(cone, ws.inverse_hessian_apply(unpack(cone, grad_obj)))
-        lam_def = np.sqrt(float(np.dot(grad_obj, step)))
-        lam_simpl = local_norm_lambda(cone, w, r)
-        assert lam_simpl == pytest.approx(lam_def, abs=1e-10)
+        rad = cone.nu - 2.0 * float(np.dot(w, r)) + float(np.dot(r, ws.inverse_hessian_apply(r)))
+        lam = self.lam(cone, unpack(cone, w), unpack(cone, r))
+        assert np.sqrt(rad) == pytest.approx(lam, abs=1e-10)
 
     def test_rejects_non_interior(self):
         cone = ConeDescriptor.linf(2)
         bad = ConePoint(epi=0.5, vec=np.array([1.0, 0.0]))
         r = ConePoint(epi=3.0, vec=np.array([1.0, 1.0]))
         with pytest.raises(NotInteriorError):
-            local_norm_lambda(cone, bad, r)
+            self.lam(cone, bad, r)
 
 
 class TestInitialPoint:
@@ -255,16 +262,14 @@ class TestGenericSolver:
         # the solve like a failed factorization, not read as converged
         cone = ConeDescriptor.hpower(np.array([0.1, 0.2, 0.3, 0.4]))
         r = sample_dual_point(cone, 1e-2, rng)
-        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+        cls = type(BarrierWorkspace(cone, pack(cone, default_initial_point(cone, r))))
         solve = cls.inverse_hessian_apply
         calls = []
 
         def nan_on_third_call(ws, x):
             calls.append(None)
             if len(calls) == 3:
-                # NaNs of the kind received: the solver passes packed vectors
-                nan = np.full(cone.ambient_dim, np.nan)
-                return nan if isinstance(x, np.ndarray) else unpack(cone, nan)
+                return np.full(cone.ambient_dim, np.nan)
             return solve(ws, x)
 
         monkeypatch.setattr(cls, "inverse_hessian_apply", nan_on_third_call)
@@ -342,7 +347,7 @@ class TestGenericSolver:
 # and lspec's start workspace overflow a Python float's square, and
 # logdet's start scale nu / <w_c, r> is infinite
 _SCALE_EXITS = [("log", 1e-300), ("lspec", 1e-300), ("logdet", 2.0**-1060)]
-# scales at which generic Newton breaks g*(t r) = g*(r) / t (ROADMAP item 4):
+# scales at which generic Newton breaks g*(t r) = g*(r) / t (ROADMAP item 7):
 # linf, hpower and hgeom end CONVERGED after 0 iterations with lambda = 0,
 # because the inverse Hessian underflows, at a g* that is 93-100% off;
 # rtdet stalls after 22 iterations at lambda 3.5e-5, 0.3% off, with
@@ -362,7 +367,7 @@ class TestHomogeneity:
     @pytest.mark.parametrize("family, t", [
         *((f, t) for f in ALL_FAMILIES for t in (2.0**-40, 2.0**40)),
         *_SCALE_EXITS,
-        *(pytest.param(f, t, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4"))
+        *(pytest.param(f, t, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7"))
           for f, t in _SCALE_DEFECTS),
     ])
     def test_scaled_dual_point(self, family, t):
@@ -389,6 +394,51 @@ class TestHomogeneity:
         assert trace.lambdas == [np.inf]
         assert not res.converged
         assert np.all(np.isfinite(pack(cone, res.g_star)))
+
+
+# scales at which the specialized oracles break t g*(t r) = g*(r) (ROADMAP
+# item 7), as a wrong g*, a numpy overflow or division by zero, or the
+# typed NotInteriorError of linf's and lspec's overflowing norm root; log
+# and logdet hold at all four scales
+_SPEC_SCALES = (2.0**600, 2.0**-600, 1e150, 1e-150)
+_SPEC_SCALE_DEFECTS = {
+    "hpower": (2.0**-600, 1e-150),
+    "hgeom": (2.0**600, 2.0**-600),
+    "rtdet": (2.0**600, 2.0**-600),
+    "rpower": (2.0**600, 2.0**-600, 1e150),
+    "rgeom": (2.0**600, 2.0**-600),
+    "linf": (2.0**600, 2.0**-600, 1e150),
+    "lspec": (2.0**600, 2.0**-600, 1e150),
+}
+
+
+class TestSpecializedHomogeneity:
+    @staticmethod
+    def check(cone, r, t):
+        # g* is homogeneous of degree -1: t g*(t r) = g*(r)
+        tr = unpack(cone, t * pack(cone, r))
+        assert dual_in_interior(cone, tr)
+        ref = pack(cone, conjugate_gradient(cone, r).g_star)
+        got = t * pack(cone, conjugate_gradient(cone, tr).g_star)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("family, t", [
+        pytest.param(f, t, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7"))
+        if t in _SPEC_SCALE_DEFECTS.get(f, ()) else (f, t)
+        for f in ALL_FAMILIES for t in _SPEC_SCALES
+    ])
+    def test_scaled_dual_point(self, family, t):
+        cone, r, _ = _scaled_problem(family, t)
+        self.check(cone, r, t)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+    def test_rpower_reduction_at_small_scale(self):
+        # r at 1e-150 passes dual_in_interior, and the reduction's
+        # derivative overflows, after which it raises an untyped ValueError
+        cone = ConeDescriptor.rpower(1, np.array([0.7045353616939859, 0.29546463830601405]))
+        r = ConePoint(epi=np.array([-0.02507656299083186]),
+                      vec=np.array([0.00550714189510382, 0.11977994755898602]))
+        self.check(cone, r, 1e-150)
 
 
 class TestRareExits:
@@ -430,7 +480,7 @@ class TestRareExits:
 
     def test_nan_step_at_start(self, rng, monkeypatch):
         cone, r = self.problem(rng)
-        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+        cls = type(BarrierWorkspace(cone, pack(cone, default_initial_point(cone, r))))
         monkeypatch.setattr(cls, "inverse_hessian_apply",
                             lambda ws, x: np.full(cone.ambient_dim, np.nan))
         res, trace = generic_conjugate_gradient(cone, r)
@@ -440,7 +490,7 @@ class TestRareExits:
         # log's inverse Hessian divides by v**2, which underflows to 0 at a
         # dual point scaled by 1e200; the solve stops as at a NaN step
         cone, r = self.problem(rng)
-        cls = type(BarrierWorkspace(cone, default_initial_point(cone, r)))
+        cls = type(BarrierWorkspace(cone, pack(cone, default_initial_point(cone, r))))
 
         def divide_by_zero(ws, x):
             return 1.0 / 0.0
@@ -555,10 +605,7 @@ class TestIterateSymmetry:
         m[0, -1] = np.nan if defect == "nan" else m[0, -1] + 1e-11 * np.linalg.norm(m)
         point = unpack(cone, x)
         for call in (lambda: BarrierWorkspace(cone, x),
-                     lambda: BarrierWorkspace(cone, point),
-                     lambda: in_interior(cone, x),
                      lambda: in_interior(cone, point),
-                     lambda: local_norm_lambda(cone, point, r),
                      lambda: generic_conjugate_gradient(cone, r, w0=point)):
             with pytest.raises(ValueError, match="not finite" if defect == "nan"
                                else "not symmetric"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conebarriers import (
-    StopRule,
     newton_raphson,
     wright_omega,
 )
@@ -119,8 +118,10 @@ class TestNewtonRaphson:
         assert not res.converged
 
     def test_iteration_cap(self):
-        # h has no root; the driver must give up at the cap
-        res = newton_raphson(lambda y: (1.0 + y * y, 2.0 * y), 3.0,
-                             StopRule(abs_h=0.0, rel_step=0.0, max_iter=64))
+        # Newton on y^3 - 2y + 2 from 0 cycles 0, 1, 0, ... exactly, so
+        # neither the residual nor the step test fires; the driver must
+        # give up at the cap of 64 steps
+        res = newton_raphson(lambda y: (y**3 - 2.0 * y + 2.0, 3.0 * y * y - 2.0), 0.0)
         assert not res.converged
         assert res.iterations == 64
+        assert res.root == 0.0 and res.residual == 2.0
