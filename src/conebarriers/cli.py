@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="samples per grid cell (default %(default)s)")
     parser.add_argument("--seed", type=int, default=default.seed,
                         help="RNG seed (default %(default)s)")
-    parser.add_argument("--eps", type=float, default=default.eps,
-                        help="generic-method tolerance "
-                             "(default 1000 * machine epsilon)")
     parser.add_argument("--format", choices=("csv", "markdown"),
                         default="csv", help="output format (default %(default)s)")
     parser.add_argument("--out", metavar="FILE", default=None,
@@ -70,7 +67,6 @@ def main(argv=None) -> int:
             offsets=tuple(args.offsets),
             trials=args.trials,
             seed=args.seed,
-            eps=args.eps,
         )
     except ValueError as exc:
         parser.error(str(exc))

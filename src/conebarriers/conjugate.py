@@ -46,7 +46,7 @@ from .cones import (
     ConePoint,
     NotInteriorError,
     pack,
-    unpack,  # noqa: F401  # wrapped by perfbench/tracer.py
+    unpack,
 )
 from .linalg import sym_eigen, svd
 from .scalars import newton_raphson, wright_omega
@@ -510,7 +510,7 @@ def conjugate_gradient(cone: ConeDescriptor, r: ConePoint) -> ConjugateResult:
         u, v = frames
         vec, mat = None, (u * gr) @ v.T
     g = cone.layout.join(gp, gq, vec, mat)
-    return ConjugateResult(g_star=ConePoint(epi=gp, persp=gq, vec=vec, mat=mat),
+    return ConjugateResult(g_star=unpack(cone, g),
                            iterations=0 if res is None else res.iterations,
                            residual=abs(float(np.dot(g, x)) + cone.nu),
                            converged=res is None or res.converged)

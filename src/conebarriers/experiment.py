@@ -49,7 +49,7 @@ from .cones import (
     pack,
 )
 from .conjugate import conjugate_gradient, dual_in_interior, power_cap
-from .newton import DEFAULT_EPS, NewtonStatus, generic_conjugate_gradient
+from .newton import NewtonStatus, generic_conjugate_gradient
 
 __all__ = [
     "ExperimentConfig",
@@ -79,7 +79,6 @@ class ExperimentConfig:
     offsets: tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
     trials: int = 10
     seed: int = 42
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if not (self.cones and self.dims and self.offsets):
@@ -94,8 +93,6 @@ class ExperimentConfig:
             raise ValueError("trials must be an integer >= 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and positive; got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ def run_grid(config: ExperimentConfig) -> list[IterationStats]:
                         cone = _make_cone(fam, d, rng)
                         point = sample_dual_point(cone, o, rng)
                         spec = conjugate_gradient(cone, point)
-                        gen, trace = generic_conjugate_gradient(
-                            cone, point, eps=config.eps)
+                        gen, trace = generic_conjugate_gradient(cone, point)
                     except (NotInteriorError, RuntimeError):
                         failures += 1
                         continue

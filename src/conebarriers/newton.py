@@ -10,12 +10,15 @@ drops below ``(3 - sqrt(5))/2``, after which full Newton steps converge
 quadratically.  Each iterate's workspace gives ``lambda`` and the step
 once, and the stop tests run in this order: ``STALLED`` if ``lambda``
 exceeds ``1000 (lambda'/(1 - lambda'))^2`` for the previous ``lambda'``,
-``CONVERGED`` if ``lambda <= eps``, ``ITERATION_CAP`` at the step cap.
-Otherwise the step is halved until its workspace builds.  A start point
-that is not interior, a start or iterate that overflows binary64, a
-non-finite ``lambda`` or a step that no halving keeps interior ends the
-solve as ``LEFT_INTERIOR``.  The iterate of least ``lambda`` (the last
-one, if converged), negated, is the conjugate gradient.
+``CONVERGED`` if ``lambda <= DEFAULT_EPS``, the one tolerance,
+``ITERATION_CAP`` at the step cap.  Otherwise the step is halved until its
+workspace builds.  ``lambda^2`` below zero by at most ``n eps sum |(g +
+r)_i step_i|`` (``n`` the packed length) is rounding and reads as 0.  A
+start point that is not interior, a start or iterate that overflows
+binary64, a non-finite ``lambda``, a ``lambda^2`` further below zero or a
+step that no halving keeps interior ends the solve as ``LEFT_INTERIOR``.
+The iterate of least ``lambda`` (the last one, if converged), negated, is
+the conjugate gradient.
 
 ``lambda`` is evaluated from its definition above with the same solve that
 produces the step: the workspace's ``newton_step`` returns both, the matrix
@@ -23,7 +26,7 @@ families in their frames, where the pairing is a sum over frame blocks and
 the gradient's matrix block is never formed.  The algebraically equal form
 ``sqrt(nu - 2 <w, r> + <r, H^{-1} r>)`` is not used: it cancels
 catastrophically once ``lambda`` is small (the radicand is a difference of
-numbers of size ``nu``), so it could never reach the default tolerance of
+numbers of size ``nu``), so it could never reach the tolerance of
 1000 times machine epsilon.
 
 The iteration works in packed coordinates end to end: iterates, steps and
@@ -107,7 +110,6 @@ def default_initial_point(cone: ConeDescriptor, r: ConePoint) -> ConePoint:
 def generic_conjugate_gradient(
     cone: ConeDescriptor,
     r: ConePoint,
-    eps: float = DEFAULT_EPS,
     w0: ConePoint | None = None,
 ) -> tuple[ConjugateResult, NewtonTrace]:
     """Compute g*(r) by Newton iteration on ``<r, w> + f(w)``.
@@ -115,8 +117,6 @@ def generic_conjugate_gradient(
     Returns the conjugate result (``iterations`` counts Newton steps) and
     the solver trace with the sequence of local norms.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive; got {eps!r}")
     if not dual_in_interior(cone, r):
         raise NotInteriorError(
             f"dual point is not interior to the {cone.family.value} dual cone"
@@ -154,7 +154,12 @@ def generic_conjugate_gradient(
             # closed-form inverses have no pivot check; a non-finite local
             # norm means the iterate is numerically off the interior
             break
-        lam = math.sqrt(max(rad, 0.0))
+        if rad < 0.0:  # rounding, unless past n eps times its terms' sizes
+            terms = float(np.dot(np.abs(ws.gradient() + rf), np.abs(step)))
+            if not -rad <= rf.size * np.finfo(float).eps * terms:
+                break
+            rad = 0.0
+        lam = math.sqrt(rad)
         lambdas.append(lam)
         if lam < best_lam:
             best_lam, best_wf = lam, wf
@@ -164,7 +169,7 @@ def generic_conjugate_gradient(
         if lam_prev != 1.0 and lam > 1000.0 * (lam_prev / (1.0 - lam_prev)) ** 2:
             status = NewtonStatus.STALLED
             break
-        if lam <= eps:
+        if lam <= DEFAULT_EPS:
             status = NewtonStatus.CONVERGED
             break
         if iterations >= _MAX_ITER:

@@ -392,3 +392,24 @@ def test_logdet_zeta_is_one_rounding_from_its_terms(rng):
             cone = ConeDescriptor.logdet(d)
             ws = BarrierWorkspace(cone, pack(cone, ConePoint(epi=u, persp=v, mat=m)))
             assert abs(float(ws.zeta - ref)) <= unit
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+def test_log_zeta_is_one_rounding_from_its_terms(rng):
+    # the vector twin of the logdet test above, at the same scale: log
+    # prod(w / v) is still formed as sum log w - d log v, which cancels, and
+    # v times its rounding exceeds one rounding of zeta's two terms
+    from mpmath import mp
+
+    d = 12
+    for _ in range(10):
+        v = float(rng.uniform(1e9, 5e9))
+        w = v * np.exp(rng.uniform(0.0, 4.0, d))
+        with mp.workdps(50):
+            vphi = mp.mpf(v) * (mp.fsum(mp.log(mp.mpf(x)) for x in w) - d * mp.log(mp.mpf(v)))
+            u = float(vphi - 1)
+            ref = vphi - mp.mpf(u)
+            unit = np.finfo(float).eps * (abs(u) + abs(float(vphi)))
+            cone = ConeDescriptor.log(d)
+            ws = BarrierWorkspace(cone, pack(cone, ConePoint(epi=u, persp=v, vec=w)))
+            assert abs(float(ws.zeta - ref)) <= unit

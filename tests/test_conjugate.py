@@ -776,6 +776,25 @@ class TestValidation:
                 assert np.all(np.isfinite(pack(cone, g_star))), family
                 assert math.isfinite(conjugate_value(cone, pt)), family
 
+    @pytest.mark.parametrize("family", [
+        f if f in ("hpower", "lspec") else pytest.param(
+            f, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 6"))
+        for f in ALL_FAMILIES])
+    def test_accepted_boundary_points_converge(self, family):
+        # every point membership accepts next to the boundary is one the
+        # oracle solves: converged, with g* pairing to r within nu / 4 of -nu
+        for seed in (11, 12, 13):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                cone = random_cone(family, rng, d=6)
+                r = sample_dual_point(cone, 1e-3, rng)
+                for pt in dual_boundary_points(cone, r):
+                    if not dual_in_interior(cone, pt):
+                        continue
+                    res = conjugate_gradient(cone, pt)
+                    assert res.converged
+                    assert res.residual <= 0.25 * cone.nu
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_residual_matches_experiment_residual(self, family, rng):
         # the oracle's residual on the packed blocks is the same float as

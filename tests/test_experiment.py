@@ -160,9 +160,6 @@ class TestRunGrid:
                      dict(dims=(0,)), dict(dims=(4, -1)), dict(dims=(2.5,))):
             with pytest.raises(ValueError):
                 ExperimentConfig(**grid)
-        for eps in (0.0, -1e-12, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                ExperimentConfig(eps=eps)
 
     def test_config_requires_integer_counts_and_seed(self):
         # each of these reached run_grid, which then died in range() or
@@ -295,11 +292,6 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--offsets", "1.5"])
         assert exc.value.code != 0
-        for eps in ("nan", "inf", "0"):
-            with pytest.raises(SystemExit) as exc:
-                cli_main(["--cones", "linf", "--dims", "4", "--offsets", "0.1",
-                          "--trials", "2", "--eps", eps])
-            assert exc.value.code == 2
 
     @pytest.mark.parametrize("grid", [["--dims", "0"], ["--dims", ""],
                                       ["--cones", ""], ["--offsets", ""],

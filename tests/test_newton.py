@@ -236,15 +236,6 @@ class TestGenericSolver:
         with pytest.raises(NotInteriorError):
             generic_conjugate_gradient(cone, r, w0=ConePoint(epi=-1.0, vec=np.zeros(2)))
 
-    def test_rejects_bad_eps(self, rng):
-        cone = ConeDescriptor.linf(2)
-        r = sample_dual_point(cone, 0.3, rng)
-        # lam > nan is false, so a NaN tolerance would stop at the start
-        # point and read as converged
-        for eps in (0.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                generic_conjugate_gradient(cone, r, eps=eps)
-
     def test_stall_returns_best_iterate(self, rng):
         # deep-offset instances stop by stalling at the round-off floor of
         # the local norm; the returned point must still be a high-accuracy
@@ -564,6 +555,69 @@ class TestRareExits:
         # the best of the four iterates is returned
         assert self.start_lambda(cone, r, neg(cone, res.g_star)) == \
             min(trace.lambdas)
+
+
+class TestNegativeLambdaSquared:
+    """``lambda^2 = <g + r, H^-1 (g + r)>`` rounds below zero by at most
+    ``n eps`` times the sum of its terms' magnitudes.  Within that it reads
+    as ``lambda = 0``; beyond it the solve ends ``LEFT_INTERIOR`` with the
+    best iterate before it, as at a non-finite local norm."""
+
+    @pytest.mark.parametrize("d, o", [(4, 1e-9), (4, 1e-12), (20, 1e-9)])
+    def test_rpower_deep_offsets_are_not_converged(self, d, o):
+        # each of these solves meets one lambda^2 of -0.55 to -648, 1e7 to
+        # 6e8 times eps times its terms below zero; read as lambda = 0 it
+        # ended them converged with g* 22-100% off the specialized one
+        for trial in range(5):
+            rng = experiment._cell_rng(42, ConeFamily.RPOWER, d, o, trial)
+            cone = experiment._make_cone(ConeFamily.RPOWER, d, rng)
+            r = sample_dual_point(cone, o, rng)
+            res, trace = generic_conjugate_gradient(cone, r)
+            assert trace.status is NewtonStatus.LEFT_INTERIOR
+            assert not res.converged
+            # the iterate with the negative lambda^2 records no local norm
+            assert len(trace.lambdas) == trace.iterations > 0
+            assert all(np.isfinite(trace.lambdas))
+            assert TestLocalNorm.lam(cone, neg(cone, res.g_star), r) == min(trace.lambdas)
+
+    @pytest.mark.parametrize("factor, status", [(0.5, NewtonStatus.CONVERGED),
+                                                (2.0, NewtonStatus.LEFT_INTERIOR)])
+    def test_rounding_bound(self, factor, status, rng, monkeypatch):
+        # the last iterate's lambda^2 is replaced by -factor times its
+        # rounding bound n eps sum |(g + r)_i step_i|
+        cone = ConeDescriptor.linf(4)
+        r = sample_dual_point(cone, 1e-1, rng)
+        plain_res, plain = generic_conjugate_gradient(cone, r)
+        # the last iterate is the best, and the only one below DEFAULT_EPS
+        assert plain.lambdas[-1] == min(plain.lambdas) <= DEFAULT_EPS < plain.lambdas[-2]
+        build = newton.BarrierWorkspace
+
+        def negative_at_the_end(cone, x):
+            ws = build(cone, x)
+            newton_step = ws.newton_step
+
+            def step_and_rad(rf):
+                step, rad = newton_step(rf)
+                if rad <= DEFAULT_EPS ** 2:
+                    terms = np.dot(np.abs(ws.gradient() + rf), np.abs(step))
+                    rad = -factor * rf.size * np.finfo(float).eps * terms
+                return step, rad
+
+            ws.newton_step = step_and_rad
+            return ws
+
+        monkeypatch.setattr(newton, "BarrierWorkspace", negative_at_the_end)
+        res, trace = generic_conjugate_gradient(cone, r)
+        monkeypatch.undo()
+        assert trace.status is status
+        assert trace.iterations == plain.iterations
+        if status is NewtonStatus.CONVERGED:
+            assert trace.lambdas == plain.lambdas[:-1] + [0.0]
+            np.testing.assert_array_equal(pack(cone, res.g_star),
+                                          pack(cone, plain_res.g_star))
+        else:
+            assert trace.lambdas == plain.lambdas[:-1]
+            assert TestLocalNorm.lam(cone, neg(cone, res.g_star), r) == plain.lambdas[-2]
 
 
 class TestIterateSymmetry:
